@@ -82,15 +82,6 @@ class CADTree:
     def leaves(self):
         return self.cells_at_level(len(self.order))
 
-    def all_cells(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            c = stack.pop()
-            out.append(c)
-            stack.extend(c.children)
-        return out
-
     def to_json(self):
         def dump(cell):
             entry = {

@@ -1,8 +1,27 @@
 """Exact real algebraic numbers: root isolation, comparison, sign evaluation.
 
 A real algebraic number is a squarefree defining polynomial together with an
-open rational isolating interval.  Isolation is Descartes/bisection; Sturm
-sequences are provided for counting (and reused by the test oracles).
+open rational isolating interval.  Univariate polynomials are tuples of
+Python integers, lowest degree first; a defining polynomial is primitive
+with a positive leading coefficient, and a rational n/d is the tuple
+(-n, d).  The sign of such a polynomial at a rational p/q is one integer
+homogeneous Horner evaluation (usign); no Fraction arithmetic is involved.
+
+isolate_coeffs takes the squarefree part of its input, then:
+
+- degree 1: the closed-form root;
+- degree 2: math.isqrt of the discriminant.  A perfect square gives two
+  exact rationals; otherwise, with s = isqrt(D), the intervals with
+  endpoints (-b +- s)/2a and (-b +- (s+1))/2a isolate the two roots;
+- degree 3 and up: Descartes bisection (Collins-Akritas) on integer
+  coefficients over a power-of-two bound on the positive and on the negative
+  roots, subdividing by x -> x/2 and integer Taylor shifts, so the interval
+  endpoints are dyadic (Rouillier-Zimmermann).  A bisection point that is a
+  root is recorded exactly and deflated out; if at most a quadratic is left,
+  the closed form finishes.  Every other rational root p/q (lowest terms)
+  has q dividing the leading coefficient lc, so once its interval is
+  narrower than 1/lc^2 it is the fraction with denominator at most lc
+  nearest the midpoint; one Horner evaluation confirms it.
 
 Interval refinement mutates the cached interval but is monotone (intervals
 only shrink), so concurrent readers are safe; everything else is pure.
@@ -11,7 +30,7 @@ only shrink), so concurrent readers are safe; everything else is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor
+from math import gcd, isqrt, lcm
 
 from .polynomial import (
     Polynomial,
@@ -43,7 +62,7 @@ IDENTICALLY_ZERO = _IdenticallyZero()
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (coefficient tuples, low degree first)
+# dense univariate helpers (integer coefficient tuples, low degree first)
 
 
 def trim(coeffs):
@@ -53,120 +72,94 @@ def trim(coeffs):
     return tuple(coeffs)
 
 
-def degree(coeffs):
-    return len(coeffs) - 1
+def _fraction(x):
+    return x if type(x) is Fraction else Fraction(x)
 
 
-def ueval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def usign(coeffs, q):
+    """Sign of coeffs at the rational q = p/d (d > 0): the sign of
+    sum c_i p^i d^(n-i), by one integer Horner evaluation."""
+    p, d = q.numerator, q.denominator
+    acc = 0
+    if d == 1:
+        for c in reversed(coeffs):
+            acc = acc * p + c
+    else:
+        dk = 1
+        for c in reversed(coeffs):
+            acc = acc * p + c * dk
+            dk *= d
+    return (acc > 0) - (acc < 0)
 
 
-def uderiv(coeffs):
-    return tuple(c * i for i, c in enumerate(coeffs))[1:]
-
-
-def uneg(coeffs):
-    return tuple(-c for c in coeffs)
-
-
-def uadd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return trim(out)
-
-
-def umul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return trim(out)
-
-
-def udivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lb = b[-1]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] / lb
-        q[shift] = c
-        for i, cb in enumerate(b):
-            a[shift + i] -= c * cb
-        a.pop()
-    return trim(q), trim(a)
-
-
-def umonic(coeffs):
-    coeffs = trim(coeffs)
-    if not coeffs:
-        return coeffs
-    lead = coeffs[-1]
-    return tuple(c / lead for c in coeffs)
-
-
-def ugcd(a, b):
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, udivmod(a, b)[1]
-    return umonic(a)
-
-
-def usquarefree(coeffs):
-    coeffs = trim(coeffs)
-    if len(coeffs) <= 2:
-        return umonic(coeffs)
-    g = ugcd(coeffs, uderiv(coeffs))
-    if len(g) == 1:
-        return umonic(coeffs)
-    return umonic(udivmod(coeffs, g)[0])
+def primitive(coeffs):
+    """coeffs divided by its content, with a positive leading coefficient."""
+    g = gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    return coeffs if g == 1 else tuple(c // g for c in coeffs)
 
 
 def normalize_int(coeffs):
-    """Integer coefficients, content 1, positive leading coefficient."""
+    """The primitive integer tuple of a tuple of ints or Fractions."""
     coeffs = trim(coeffs)
     if not coeffs:
         return coeffs
-    from math import gcd as igcd
-    L = 1
-    for c in coeffs:
-        L = L * c.denominator // igcd(L, c.denominator)
-    G = 0
-    for c in coeffs:
-        G = igcd(G, abs(c.numerator * (L // c.denominator)))
-    scale = Fraction(L, G)
-    if coeffs[-1] < 0:
-        scale = -scale
-    return tuple(c * scale for c in coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    return primitive(tuple(c.numerator * (den // c.denominator) for c in coeffs))
 
 
-def sturm_sequence(coeffs):
-    seq = [trim(coeffs)]
-    d = uderiv(coeffs)
-    if d:
-        seq.append(d)
-        while True:
-            r = udivmod(seq[-2], seq[-1])[1]
-            if not r:
-                break
-            seq.append(uneg(r))
-    return seq
+def _prem(a, b):
+    """Pseudo-remainder of a by b: lc(b)^k * a modulo b."""
+    a = list(a)
+    lb, nb = b[-1], len(b)
+    while len(a) >= nb:
+        c = a.pop()
+        shift = len(a) - nb + 1
+        a = [lb * x for x in a]
+        for i in range(nb - 1):
+            a[shift + i] -= c * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return tuple(a)
+
+
+def ugcd(a, b):
+    """Primitive gcd of two non-zero integer tuples (primitive PRS)."""
+    a, b = primitive(a), primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, primitive(r)
+    return (1,)
+
+
+def _exquo(a, b):
+    """a / b for integer tuples where b divides a over the integers."""
+    a = list(a)
+    nb, lb = len(b), b[-1]
+    q = [0] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + nb - 1], lb)
+        if r:
+            raise RealAlgebraError("inexact univariate division")
+        q[k] = c
+        for i in range(nb):
+            a[k + i] -= c * b[i]
+    if any(a):
+        raise RealAlgebraError("inexact univariate division")
+    return tuple(q)
+
+
+def usquarefree(f):
+    """Squarefree part of a primitive integer tuple."""
+    if len(f) <= 2:
+        return f
+    g = ugcd(f, tuple(c * i for i, c in enumerate(f))[1:])
+    return f if len(g) == 1 else _exquo(f, g)
 
 
 def _variations(values):
@@ -182,113 +175,154 @@ def _variations(values):
     return count
 
 
-def sturm_count(coeffs, a, b, seq=None):
-    """Number of distinct real roots in (a, b]; requires coeffs(a) != 0."""
-    if seq is None:
-        seq = sturm_sequence(coeffs)
-    va = _variations([ueval(f, a) for f in seq])
-    vb = _variations([ueval(f, b) for f in seq])
-    return va - vb
-
-
-def sturm_count_all(coeffs):
-    """Number of distinct real roots of coeffs on the whole line."""
-    f = usquarefree(coeffs)
-    if len(f) <= 1:
-        return 0
-    b = root_bound(f)
-    return sturm_count(f, -b, b)
-
-
-def root_bound(coeffs):
-    """Cauchy bound: all real roots lie strictly inside (-B, B)."""
-    coeffs = trim(coeffs)
-    lead = abs(coeffs[-1])
-    m = max((abs(c) for c in coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
-
-
-def _taylor_shift(coeffs, a):
-    """coeffs(x + a)."""
-    out = list(coeffs)
-    n = len(out)
-    if a == 0:
-        return tuple(out)
-    for i in range(n):
+def _shift1(coeffs):
+    """coeffs(x + 1), by an integer Taylor shift."""
+    c = list(coeffs)
+    n = len(c)
+    for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            out[j] += a * out[j + 1]
-    return tuple(out)
+            c[j] += c[j + 1]
+    return c
 
 
-def _scale(coeffs, s):
-    """coeffs(s * x)."""
-    acc = Fraction(1)
-    out = []
-    for c in coeffs:
-        out.append(c * acc)
-        acc *= s
-    return tuple(out)
+def _var01(coeffs):
+    """Descartes' bound on the roots in (0, 1): the sign variations of
+    (1+x)^n coeffs(1/(1+x)); exact when it is 0 or 1."""
+    return _variations(_shift1(coeffs[::-1]))
 
 
-def _descartes_01(coeffs):
-    """Sign variation count of (1+x)^n * coeffs(1/(1+x)): bounds the number
-    of roots of coeffs in (0, 1), exactly for counts 0 and 1."""
-    rev = tuple(reversed(coeffs))
-    shifted = _taylor_shift(rev, Fraction(1))
-    return _variations(shifted)
+def _positive_root_bits(h):
+    """k >= 0 with every positive root of h below 2^k (h[-1] > 0).
+
+    Kioustelidis: positive roots are at most 2 max (|h[n-i]| / h[n])^(1/i)
+    over the negative h[n-i]; each ratio is below a power of two read off
+    the bit lengths."""
+    n = len(h) - 1
+    lead_bits = h[-1].bit_length()
+    e = -1
+    for i in range(1, n + 1):
+        c = h[n - i]
+        if c < 0:
+            e = max(e, -((lead_bits - 1 - (-c).bit_length()) // i))
+    return e + 1
 
 
-def variations_on(coeffs, a, b):
-    g = _taylor_shift(coeffs, a)
-    g = _scale(g, b - a)
-    return _descartes_01(g)
+def _bisect01(g):
+    """Descartes bisection of g on (0, 1).
+
+    Returns (intervals, roots): isolating intervals as pairs (c, j) standing
+    for (c/2^j, (c+1)/2^j), and the roots met exactly at bisection points as
+    pairs (c, j) standing for c/2^j.  Each pending interval carries its own
+    polynomial, g((c + x)/2^j) scaled to integer coefficients, so a root met
+    at a bisection point is divided out of the two halves it bounds and
+    every other pending interval is kept."""
+    intervals, roots = [], []
+    stack = [(0, 0, g)]
+    while stack:
+        c, j, p = stack.pop()
+        k = _var01(p)
+        if k == 0:
+            continue
+        if k == 1:
+            intervals.append((c, j))
+            continue
+        n = len(p) - 1
+        left = [a << (n - i) for i, a in enumerate(p)]
+        right = _shift1(left)
+        if right[0] == 0:
+            roots.append((2 * c + 1, j + 1))
+            right = right[1:]
+            left = _exquo(left, (-1, 1))
+        stack.append((2 * c, j + 1, left))
+        stack.append((2 * c + 1, j + 1, right))
+    return intervals, roots
 
 
-def _rational_roots(coeffs):
-    """Rational roots of an integer-normalized polynomial, found by trial
-    division over divisors of the extreme coefficients (skipped when the
-    candidate set would be large)."""
+def _isolate_small(f):
+    """The real roots of a primitive f of degree at most 2, in closed form:
+    the quadratic formula with math.isqrt of the discriminant."""
+    if len(f) == 1:
+        return []
+    if len(f) == 2:
+        return [AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))]
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    a2 = 2 * a
+    if disc == 0:
+        return [AlgebraicNumber.from_rational(Fraction(-b, a2))]
+    if s * s == disc:
+        half_gap = Fraction(s, a2)
+        roots = []
+        for q in (Fraction(-b - s, a2), Fraction(-b + s, a2)):
+            roots.append(AlgebraicNumber((-q.numerator, q.denominator),
+                                         q - half_gap, q + half_gap, _sign_lo=-1))
+        return roots
+    return [AlgebraicNumber(f, Fraction(-b - s - 1, a2), Fraction(-b - s, a2), _sign_lo=1),
+            AlgebraicNumber(f, Fraction(-b + s, a2), Fraction(-b + s + 1, a2), _sign_lo=-1)]
 
-    def divisors(n):
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n and len(out) < 40 and d <= 4096:
-            if n % d == 0:
-                out.append(d)
-                if d != n // d:
-                    out.append(n // d)
-            d += 1
-        if d * d <= n:
-            return None
-        return out
 
-    coeffs = list(coeffs)
-    roots = []
-    # factor out x = 0
-    while coeffs and coeffs[0] == 0:
-        if 0 not in roots:
-            roots.append(Fraction(0))
-        coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return roots, tuple(coeffs)
-    a0 = int(coeffs[0])
-    an = int(coeffs[-1])
-    ps = divisors(a0)
-    qs = divisors(an)
-    if ps is None or qs is None or len(ps) * len(qs) > 200:
-        return roots, trim(coeffs)
-    candidates = set()
-    for p in ps:
-        for q in qs:
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    rest = trim(coeffs)
-    for cand in sorted(candidates):
-        while rest and len(rest) > 1 and ueval(rest, cand) == 0:
-            roots.append(cand)
-            rest = udivmod(rest, (-cand, Fraction(1)))[0]
-    return sorted(set(roots)), rest
+def _rational_root_in(f, lo, hi):
+    """The root of f in the isolating interval (lo, hi) if it is rational,
+    else None.  A rational root p/q of f in lowest terms has q | lc(f), so
+    within 1/(2 lc^2) of it no other fraction has a denominator <= lc."""
+    lc = f[-1]
+    alpha = AlgebraicNumber(f, lo, hi)
+    alpha.refine_below(Fraction(1, lc * lc))
+    if alpha.is_rational:
+        return alpha.rational_value()
+    r = ((alpha.lo + alpha.hi) / 2).limit_denominator(lc)
+    if alpha.lo < r < alpha.hi and usign(f, r) == 0:
+        return r
+    return None
+
+
+def _isolate_bisect(f):
+    """The real roots of a squarefree primitive f of degree >= 3."""
+    zero = []
+    if f[0] == 0:
+        zero.append(Fraction(0))
+        f = f[1:]
+    rationals, intervals = [], []
+    for side in (1, -1):
+        h = f if side == 1 else tuple(-c if i % 2 else c for i, c in enumerate(f))
+        if h[-1] < 0:
+            h = tuple(-c for c in h)
+        var = _variations(h)
+        if var == 0:
+            continue
+        k = _positive_root_bits(h)
+        if var == 1:
+            cells, exact = [(0, 0)], []
+        else:
+            cells, exact = _bisect01([c << (k * i) for i, c in enumerate(h)])
+        for c, j in exact:
+            rationals.append(side * Fraction(c << k, 1 << j))
+        for c, j in cells:
+            lo, hi = Fraction(c << k, 1 << j), Fraction((c + 1) << k, 1 << j)
+            intervals.append((lo, hi) if side == 1 else (-hi, -lo))
+    rest = _deflate(f, rationals)
+    if len(rest) <= 3:
+        return [AlgebraicNumber.from_rational(r) for r in zero + rationals] + _isolate_small(rest)
+    irrational, found = [], []
+    for lo, hi in intervals:
+        r = _rational_root_in(rest, lo, hi)
+        if r is None:
+            irrational.append((lo, hi))
+        else:
+            found.append(r)
+    rest = _deflate(rest, found)
+    return ([AlgebraicNumber.from_rational(r) for r in zero + rationals + found]
+            + [AlgebraicNumber(rest, lo, hi) for lo, hi in irrational])
+
+
+def _deflate(f, rationals):
+    """f divided by (q x - p) for every root p/q in rationals."""
+    for r in rationals:
+        f = _exquo(f, (-r.numerator, r.denominator))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +330,11 @@ def _rational_roots(coeffs):
 
 
 class AlgebraicNumber:
-    """A real algebraic number: squarefree defining polynomial plus an open
-    rational interval containing exactly one of its real roots.
+    """A real algebraic number: squarefree defining polynomial (a primitive
+    integer tuple) plus an open rational interval containing exactly one of
+    its real roots.
 
-    Rational numbers are the degenerate case (defining x - q).  Refinement
+    Rational numbers are the degenerate case (defining d x - n).  Refinement
     shrinks the interval in place and is monotone.
     """
 
@@ -307,19 +342,18 @@ class AlgebraicNumber:
 
     def __init__(self, coeffs, lo, hi, _sign_lo=None):
         self.coeffs = tuple(coeffs)
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
+        self.lo = _fraction(lo)
+        self.hi = _fraction(hi)
         if _sign_lo is None and len(self.coeffs) > 2:
-            v = ueval(self.coeffs, self.lo)
-            if v == 0:
+            _sign_lo = usign(self.coeffs, self.lo)
+            if _sign_lo == 0:
                 raise RealAlgebraError("isolating interval endpoint is a root")
-            _sign_lo = 1 if v > 0 else -1
         self._sign_lo = _sign_lo
 
     @classmethod
     def from_rational(cls, q):
-        q = Fraction(q)
-        return cls((-q, Fraction(1)), q - 1, q + 1, _sign_lo=-1)
+        q = _fraction(q)
+        return cls((-q.numerator, q.denominator), q - 1, q + 1, _sign_lo=-1)
 
     @property
     def is_rational(self):
@@ -328,7 +362,7 @@ class AlgebraicNumber:
     def rational_value(self):
         if not self.is_rational:
             raise RealAlgebraError("not a known-rational algebraic number")
-        return -self.coeffs[0] / self.coeffs[1]
+        return Fraction(-self.coeffs[0], self.coeffs[1])
 
     def refine(self):
         """One bisection step; may discover the value is rational."""
@@ -338,18 +372,17 @@ class AlgebraicNumber:
             self.lo, self.hi = v - width, v + width
             return
         m = (self.lo + self.hi) / 2
-        val = ueval(self.coeffs, m)
-        if val == 0:
-            self.coeffs = (-m, Fraction(1))
+        s = usign(self.coeffs, m)
+        if s == 0:
+            self.coeffs = (-m.numerator, m.denominator)
             width = (self.hi - self.lo) / 4
             self.lo, self.hi = m - width, m + width
             self._sign_lo = -1
-            return
-        s = 1 if val > 0 else -1
-        if s == self._sign_lo:
+        elif s == self._sign_lo:
             self.lo = m
         else:
             self.hi = m
+
     def refine_below(self, width):
         while self.hi - self.lo > width:
             self.refine()
@@ -396,19 +429,25 @@ def _coeffs_to_str(coeffs, var="t"):
 
 def algebraic_is_root(alpha, coeffs):
     """Is alpha a root of the univariate polynomial coeffs?"""
-    coeffs = trim(coeffs)
-    if not coeffs:
+    f = normalize_int(coeffs)
+    if not f:
         return True
     if alpha.is_rational:
-        return ueval(coeffs, alpha.rational_value()) == 0
-    g = ugcd(alpha.coeffs, coeffs)
-    if len(g) <= 1:
+        return usign(f, alpha.rational_value()) == 0
+    g = ugcd(alpha.coeffs, f)
+    if len(g) == 1:
         return False
-    while ueval(g, alpha.lo) == 0 or ueval(g, alpha.hi) == 0:
+    if len(g) == len(alpha.coeffs):
+        return True
+    # g divides alpha's squarefree defining polynomial, so its only possible
+    # root in alpha's interval is alpha itself, a simple root: a sign change
+    while True:
+        s_lo, s_hi = usign(g, alpha.lo), usign(g, alpha.hi)
+        if s_lo and s_hi:
+            return s_lo != s_hi
         alpha.refine()
         if alpha.is_rational:
-            return ueval(coeffs, alpha.rational_value()) == 0
-    return sturm_count(g, alpha.lo, alpha.hi) >= 1
+            return usign(f, alpha.rational_value()) == 0
 
 
 def compare(a, b):
@@ -429,16 +468,11 @@ def compare(a, b):
             return -1
         if b.hi <= a.lo:
             return 1
-        if not can_be_equal:
-            a.refine()
-            b.refine()
-            if a.is_rational or b.is_rational:
-                return compare(a, b)
-            continue
-        c = max(a.lo, b.lo)
-        d = min(a.hi, b.hi)
-        if c < d and ueval(g, c) != 0 and ueval(g, d) != 0:
-            if sturm_count(g, c, d) >= 1:
+        if can_be_equal:
+            # g has at most one root in the overlap, a simple one, and if it
+            # has one that root is a and b at once
+            s_c, s_d = usign(g, max(a.lo, b.lo)), usign(g, min(a.hi, b.hi))
+            if s_c and s_d and s_c != s_d:
                 return 0
         a.refine()
         b.refine()
@@ -447,22 +481,22 @@ def compare(a, b):
 
 
 def compare_rational(a, q):
-    """Sign of a - q for rational q."""
-    q = Fraction(q)
+    """Sign of a - q for rational q.
+
+    Inside the isolating interval, one sign evaluation at q decides: the
+    defining polynomial changes sign only at a."""
+    q = _fraction(q)
     if a.is_rational:
         v = a.rational_value()
         return -1 if v < q else (1 if v > q else 0)
-    while True:
-        if a.hi <= q:
-            return -1
-        if a.lo >= q:
-            return 1  # the root lies strictly above lo
-        if a.lo < q < a.hi:
-            if ueval(a.coeffs, q) == 0:
-                return 0
-        a.refine()
-        if a.is_rational:
-            return compare_rational(a, q)
+    if a.hi <= q:
+        return -1
+    if a.lo >= q:
+        return 1  # the root lies strictly above lo
+    s = usign(a.coeffs, q)
+    if s == 0:
+        return 0
+    return 1 if s == a._sign_lo else -1
 
 
 # ---------------------------------------------------------------------------
@@ -470,38 +504,16 @@ def compare_rational(a, q):
 
 
 def isolate_coeffs(coeffs):
-    """Isolate the distinct real roots of a univariate coefficient tuple."""
-    coeffs = trim(coeffs)
-    if not coeffs:
+    """Isolate the distinct real roots of a univariate coefficient tuple
+    (ints or Fractions), in increasing order."""
+    f = normalize_int(coeffs)
+    if not f:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    if len(coeffs) == 1:
-        return []
-    f = normalize_int(usquarefree(coeffs))
-    rational, rest = _rational_roots(f)
-    roots = [AlgebraicNumber.from_rational(q) for q in rational]
-    rest = trim(rest)
-    if len(rest) > 1:
-        bound = root_bound(rest)
-        stack = [(-bound, bound)]
-        while stack:
-            a, b = stack.pop()
-            k = variations_on(rest, a, b)
-            if k == 0:
-                continue
-            if k == 1:
-                roots.append(AlgebraicNumber(rest, a, b))
-                continue
-            m = (a + b) / 2
-            if ueval(rest, m) == 0:
-                # cannot happen for non-dyadic-rational-rooted rest unless the
-                # rational root sieve skipped it; record it exactly
-                roots.append(AlgebraicNumber.from_rational(m))
-                rest2 = udivmod(rest, (-m, Fraction(1)))[0]
-                stack = [(a, m), (m, b)]
-                rest = trim(rest2)
-                continue
-            stack.append((a, m))
-            stack.append((m, b))
+    if len(f) > 3:
+        f = usquarefree(f)
+    if len(f) <= 3:
+        return _isolate_small(f)
+    roots = _isolate_bisect(f)
     _separate(roots)
     roots.sort(key=_sort_key)
     return roots
@@ -707,7 +719,7 @@ def sign_at_map(p, coord_map):
             a.refine()
 
     defining = _value_defining(q, algebraic)
-    if ueval(defining, 0) != 0:
+    if defining[0] != 0:
         while True:
             s = try_interval()
             if s is not None:
@@ -745,7 +757,7 @@ def sign_at(p, s):
 # roots over a sample point
 
 
-def roots_above(p, s, v, on_order_retry=None):
+def roots_above(p, s, v):
     """Distinct real roots in v of p specialized at the sample point s.
 
     Returns a sorted list of AlgebraicNumber, or IDENTICALLY_ZERO when the
@@ -802,7 +814,6 @@ def _candidate_defining(q, v, algebraic):
             if P.degree_in(var) == 0:
                 continue
             d = _defining_poly(alpha, var, q.order)
-            dcoeffs = alpha.coeffs
             while True:
                 if P.degree_in(var) == 0:
                     break
@@ -818,7 +829,6 @@ def _candidate_defining(q, v, algebraic):
                     ok = False
                     break
                 d = exact_div(d, g)
-                dcoeffs = trim(udivmod(dcoeffs, gcoeffs)[0])
                 if d.degree_in(var) == 0:
                     ok = False
                     break

@@ -8,7 +8,7 @@ from cadec.realalg import (
     IDENTICALLY_ZERO, AlgebraicNumber, RealAlgebraError, SamplePoint, compare,
     compare_rational, isolate_coeffs, isolate_real_roots, roots_above, sign_at,
 )
-from oracles import sturm_count_all, sturm_count_between
+from oracles import _eval as value_at, sturm_count_all, sturm_count_between
 
 O1 = VarOrder(["x"])
 O2 = VarOrder(["y", "x"])
@@ -104,3 +104,89 @@ def test_sample_point_extension():
     s2 = s.extended(Fraction(2))
     assert s2.coordinate("y").rational_value() == 1
     assert s2.coordinate("x").rational_value() == 2
+
+
+# ---------------------------------------------------------------------------
+# integer univariate core: regressions and properties against the oracles
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _check_isolation(coeffs, roots):
+    """Oracle checks of one isolation of coeffs."""
+    assert len(roots) == sturm_count_all(coeffs)
+    for r in roots:
+        assert all(type(c) is int for c in r.coeffs) and r.coeffs[-1] > 0
+        assert sturm_count_between(coeffs, r.lo, r.hi) == 1
+        assert value_at(coeffs, r.lo) != 0 and value_at(coeffs, r.hi) != 0
+    for a, b in zip(roots, roots[1:]):
+        assert a.hi <= b.lo
+
+
+def test_root_at_bisection_point_keeps_pending_intervals():
+    p = parse_poly("(x-2)*(x+5)*(x+52)*(4*x-7)*(2*x+9)", O1)
+    roots = isolate_real_roots(p)
+    coeffs = [c.constant_value() for c in p.coeffs_in("x")]
+    _check_isolation(coeffs, roots)
+    assert len(roots) == 5
+    assert [r.rational_value() for r in roots] == [-52, -5, Fraction(-9, 2), Fraction(7, 4), 2]
+
+
+def test_quartic_with_large_constant_loses_no_root():
+    coeffs = (-2280, -553, 2416, -1092, 144)
+    roots = isolate_coeffs(coeffs)
+    assert len(roots) == sturm_count_all(coeffs) == 4
+    _check_isolation(coeffs, roots)
+
+
+def test_planted_rational_roots_property():
+    rng = random.Random(17)
+    for _ in range(60):
+        planted, count = set(), rng.randint(1, 3)
+        while len(planted) < count:
+            planted.add(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+        coeffs = [1]
+        for q in planted:
+            coeffs = _poly_mul(coeffs, [-q.numerator, q.denominator])
+        # a cofactor whose constant term puts the whole constant term above
+        # 4096^2, where a divisor sieve over it would give up
+        cofactor = ([rng.choice((-1, 1)) * rng.randint(4097 ** 2, 10 ** 9)]
+                    + [rng.randint(-50, 50) for _ in range(rng.randint(0, 3))]
+                    + [rng.randint(1, 30)])
+        coeffs = _poly_mul(coeffs, cofactor)
+        if abs(coeffs[0]) <= 4096 ** 2:
+            continue  # a planted root at 0
+        roots = isolate_coeffs(tuple(Fraction(c, 3) for c in coeffs))
+        _check_isolation(coeffs, roots)
+        found = {r.rational_value() for r in roots if r.is_rational}
+        assert planted <= found
+
+
+def test_low_degree_closed_forms():
+    rng = random.Random(23)
+    cases = [(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(20)]
+    for c0, c1 in cases:
+        roots = isolate_coeffs((c0, c1))
+        _check_isolation((c0, c1), roots)
+        assert roots[0].rational_value() == Fraction(-c0, c1)
+    # a > 0: negative, zero, square and non-square discriminants
+    for c, b, a, count, rational in [(1, 0, 1, 0, 0), (5, 1, 3, 0, 0),
+                                     (9, 6, 1, 1, 1), (-3, 1, 2, 2, 2),
+                                     (-6, 1, 12, 2, 2), (-2, 0, 1, 2, 0),
+                                     (-7, 3, 5, 2, 0), (-10 ** 9 - 7, 12345, 4097, 2, 0)]:
+        roots = isolate_coeffs((Fraction(c), Fraction(b), Fraction(a)))
+        _check_isolation((c, b, a), roots)
+        assert len(roots) == count
+        assert sum(r.is_rational for r in roots) == rational
+        for r in roots:
+            if r.is_rational:
+                assert value_at((c, b, a), r.rational_value()) == 0
+    for _ in range(100):
+        coeffs = (rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 99))
+        _check_isolation(coeffs, isolate_coeffs(coeffs))
