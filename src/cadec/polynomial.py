@@ -4,12 +4,23 @@ Polynomials are immutable values: a map from exponent vectors to non-zero
 Fraction coefficients, under a fixed variable ordering.  Everything else in
 the package (root isolation, Groebner bases, projection, lifting) is built
 on the operations here.
+
+poly_gcd first tries to prove a pair coprime in its main variable v on an
+integer image: every other variable is set to a small integer, at a point
+where neither leading coefficient in v vanishes, and the univariate gcd of
+the two images is taken.  Such a point keeps the degree in v of the gcd g
+(its leading coefficient divides theirs), and g's image divides both
+images, so an image gcd of degree 0 proves that g is free of v; g is then
+the gcd of the contents in v.  The test is exact, not heuristic.  Otherwise
+(both points lost a leading coefficient, or gave a non-constant image gcd)
+a primitive PRS computes the gcd.  Most pairs of a squarefree basis are
+coprime and never reach the PRS.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 
 class PolynomialError(Exception):
@@ -629,8 +640,94 @@ def _gcd_many(polys):
     return integer_normalized(g)
 
 
+# Dense univariate helpers on integer coefficient tuples (lowest degree
+# first): the image gcd of poly_gcd, and the defining polynomials of realalg.
+
+
+def primitive(coeffs):
+    """coeffs divided by its content, with a positive leading coefficient."""
+    g = _int_gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    return coeffs if g == 1 else tuple(c // g for c in coeffs)
+
+
+def _prem(a, b):
+    """Pseudo-remainder of a by b: lc(b)^k * a modulo b."""
+    a = list(a)
+    lb, nb = b[-1], len(b)
+    while len(a) >= nb:
+        c = a.pop()
+        shift = len(a) - nb + 1
+        a = [lb * x for x in a]
+        for i in range(nb - 1):
+            a[shift + i] -= c * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return tuple(a)
+
+
+def ugcd(a, b):
+    """Primitive gcd of two non-zero integer tuples (primitive PRS)."""
+    a, b = primitive(a), primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        a, b = b, primitive(r)
+    return (1,)
+
+
+def _image_points(n):
+    """The two evaluation points of the image test, for n variables: small
+    distinct integers, 2, 3, 4, ... and -3, -4, -5, ... by position."""
+    return [i + 2 for i in range(n)], [-(i + 3) for i in range(n)]
+
+
+def _image(p, vi, point):
+    """p with every variable but the one at position vi set to point[j]:
+    an integer tuple in that variable (scaled by the common denominator of
+    p's coefficients, which does not change its gcd)."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    image = [0] * (p.degree_in(p.order.names[vi]) + 1)
+    for expt, c in p.terms.items():
+        c = c.numerator * (den // c.denominator)
+        for j, e in enumerate(expt):
+            if e and j != vi:
+                c *= point[j] ** e
+        image[expt[vi]] += c
+    return image
+
+
+def _coprime_image(p, q, v):
+    """True when an image gcd of degree 0, at a point where neither
+    leading coefficient in v vanishes, proves gcd(p, q) free of v.  False
+    proves nothing: both points lost a leading coefficient or gave a
+    non-constant image gcd."""
+    vi = p.order.index(v)
+    for point in _image_points(len(p.order)):
+        a = _image(p, vi, point)
+        if not a[-1]:
+            continue
+        b = _image(q, vi, point)
+        if b[-1] and len(ugcd(a, b)) == 1:
+            return True
+    return False
+
+
 def poly_gcd(p, q):
-    """GCD over Q[vars], normalized (integer content 1, positive lead)."""
+    """GCD over Q[vars], normalized (integer content 1, positive lead).
+
+    v is the higher main variable of p and q.  Let a be a point of the
+    other variables where neither leading coefficient in v vanishes.  The
+    gcd g keeps its degree in v at a (lc(g) divides lc(p)), and g(a) divides
+    p(a) and q(a), so deg_v g <= deg gcd(p(a), q(a)).  When that image gcd
+    is constant, g is free of v and equals gcd(cont_v p, cont_v q): the gcd
+    of every coefficient of p and q in v.  Otherwise a primitive PRS in v
+    computes it.
+    """
     if p.is_zero():
         return integer_normalized(q) if not q.is_zero() else q
     if q.is_zero():
@@ -648,6 +745,8 @@ def poly_gcd(p, q):
             const_side, other = q, p
         cont = _gcd_many(other.coeffs_in(v))
         return poly_gcd(const_side, cont)
+    if _coprime_image(p, q, v):
+        return _gcd_many(p.coeffs_in(v) + q.coeffs_in(v))
     cont_p = _gcd_many([c for c in p.coeffs_in(v) if not c.is_zero()])
     cont_q = _gcd_many([c for c in q.coeffs_in(v) if not c.is_zero()])
     a = exact_div(p, cont_p)
@@ -790,10 +889,12 @@ def squarefree_basis(ps, v):
 
     Constants are dropped and every element is integer-normalized.  Not an
     irreducible factorization: coprime + squarefree is all the projection
-    operator needs.
+    operator needs.  The input is taken in a canonical order (smallest term
+    list popped first), so the work done does not depend on the iteration
+    order of a set, and with it on the hash seed.
     """
     queue = []
-    for p in ps:
+    for p in sorted(ps, key=lambda p: sorted(p.terms.items()), reverse=True):
         if p.is_zero():
             raise ZeroPolynomialError("zero polynomial in squarefree basis input")
         if p.is_constant():

@@ -30,7 +30,7 @@ only shrink), so concurrent readers are safe; everything else is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .polynomial import (
     Polynomial,
@@ -39,7 +39,9 @@ from .polynomial import (
     PolynomialError,
     exact_div,
     poly_gcd,
+    primitive,
     resultant,
+    ugcd,
 )
 
 
@@ -92,14 +94,6 @@ def usign(coeffs, q):
     return (acc > 0) - (acc < 0)
 
 
-def primitive(coeffs):
-    """coeffs divided by its content, with a positive leading coefficient."""
-    g = gcd(*coeffs)
-    if coeffs[-1] < 0:
-        g = -g
-    return coeffs if g == 1 else tuple(c // g for c in coeffs)
-
-
 def normalize_int(coeffs):
     """The primitive integer tuple of a tuple of ints or Fractions."""
     coeffs = trim(coeffs)
@@ -107,34 +101,6 @@ def normalize_int(coeffs):
         return coeffs
     den = lcm(*(c.denominator for c in coeffs))
     return primitive(tuple(c.numerator * (den // c.denominator) for c in coeffs))
-
-
-def _prem(a, b):
-    """Pseudo-remainder of a by b: lc(b)^k * a modulo b."""
-    a = list(a)
-    lb, nb = b[-1], len(b)
-    while len(a) >= nb:
-        c = a.pop()
-        shift = len(a) - nb + 1
-        a = [lb * x for x in a]
-        for i in range(nb - 1):
-            a[shift + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def ugcd(a, b):
-    """Primitive gcd of two non-zero integer tuples (primitive PRS)."""
-    a, b = primitive(a), primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _prem(a, b)
-        if not r:
-            return b
-        a, b = b, primitive(r)
-    return (1,)
 
 
 def _exquo(a, b):

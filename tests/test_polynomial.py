@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cadec.polynomial import (
-    ExactDivisionError, ParseError, Polynomial, VarOrder, content_primitive,
-    discriminant, exact_div, integer_normalized, is_primitive, parse_poly,
-    poly_gcd, poly_to_str, resultant, squarefree_basis, squarefree_part,
+    ExactDivisionError, ParseError, Polynomial, VarOrder, _coprime_image,
+    content_primitive, discriminant, divides, exact_div, integer_normalized,
+    is_primitive, parse_poly, poly_gcd, poly_to_str, resultant,
+    squarefree_basis, squarefree_part,
 )
 from oracles import sylvester_resultant
 
@@ -71,6 +72,55 @@ def test_gcd():
     a, b = g * P("x - 1"), g * P("y^2 + 2")
     got = poly_gcd(a, b)
     assert integer_normalized(got) == integer_normalized(g)
+
+
+def _assert_gcd(p, q, planted=None):
+    g = poly_gcd(p, q)
+    assert g == integer_normalized(g)
+    if planted is not None:
+        assert divides(planted, g)
+    a, b = exact_div(p, g), exact_div(q, g)
+    # the cofactors share no factor: their resultant in every variable
+    # they both contain, the main variable among them, is non-zero
+    for v in a.variables() & b.variables():
+        assert not sylvester_resultant(a, b, v).is_zero(), (p, q, v)
+    return g
+
+
+def test_gcd_planted_factor_random():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 120:
+        order = O2 if checked % 2 else O3
+        a = random_poly(order, rng, max_deg=2, terms=3)
+        b = random_poly(order, rng, max_deg=2, terms=3)
+        h = random_poly(order, rng, max_deg=2, terms=2) if checked % 3 else None
+        if a.is_constant() or b.is_constant() or (h is not None and h.is_constant()):
+            continue
+        p, q = (a, b) if h is None else (a * h, b * h)
+        _assert_gcd(p * Fraction(rng.randint(1, 5), rng.randint(1, 5)), q, h)
+        checked += 1
+
+
+def test_gcd_image_fallbacks():
+    # The image test sets y to 2, then to -3.  Here lc(p) = y - 2 vanishes
+    # at the first point and the images agree at the second, so it proves
+    # nothing and the PRS finds the pair coprime.
+    p, q = P("(y - 2)*x + 1"), P("(2*y + 1)*x + 1")
+    assert not _coprime_image(p, q, "x")
+    assert poly_gcd(p, q) == Polynomial.constant(O2, 1)
+    # a common factor whose leading coefficient vanishes at the first point
+    h = P("(y - 2)*x + 1")
+    assert poly_gcd(h * P("x + 1"), h * P("x - 1")) == h
+    # at y = 2 both images are x + 2; at y = -3 they are coprime
+    assert _coprime_image(P("x + y"), P("x + 2*y - 2"), "x")
+    # a common factor is never ruled out; its content part is kept
+    g = P("(y + 1)*(x - y)")
+    assert not _coprime_image(g * P("x + 1"), g * P("x*y - 3"), "x")
+    assert poly_gcd(g * P("x + 1"), g * P("x*y - 3")) == integer_normalized(g)
+    # coprime in x, with a common content
+    assert _coprime_image(P("(y + 1)*x"), P("(y + 1)*(x + 1)"), "x")
+    assert poly_gcd(P("(y + 1)*x"), P("(y + 1)*(x + 1)")) == P("y + 1")
 
 
 def test_content_primitive_examples():

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from cadec.polynomial import VarOrder, integer_normalized, parse_poly
+from cadec.bench import generate_dh
+from cadec.polynomial import (
+    VarOrder, content_primitive, integer_normalized, parse_poly, squarefree_basis,
+)
 from cadec.formula import parse_formula
 from cadec.projection import (
     CapExceededError, PrimitivityError, mccallum_project, plan_projection,
     propagate_ecs, reduced_project,
 )
+from oracles import sylvester_resultant
 
 O2 = VarOrder(["y", "x"])
 
@@ -117,3 +126,50 @@ def test_plan_json_roundtrippable():
     assert js["ell"] == 1
     assert len(js["levels"]) == 2
     assert all("projection" in lvl for lvl in js["levels"])
+
+
+@pytest.mark.parametrize("ec_mode", ["resultant", "groebner"])
+def test_plan_product_form_depth1_completes(time_budget, ec_mode):
+    # The squarefree bases of these plans hold large, mostly coprime pairs;
+    # the time budget bounds the gcds that prove them coprime.
+    f = generate_dh(1, form="product_L")
+    plan = plan_projection(f, f.order, "auto", ec_mode=ec_mode)
+    assert plan.ell == 2
+    for lv in plan.levels:
+        v = lv.var
+        basis = sorted(squarefree_basis(
+            [content_primitive(p, v)[1] for p in lv.projection_polys], v), key=str)
+        assert basis
+        for i, a in enumerate(basis):
+            for b in basis[i + 1:]:
+                assert not sylvester_resultant(a, b, v).is_zero(), (a, b)
+
+
+_COUNT_GCDS = """
+import cadec.polynomial as polynomial
+from cadec import generate_dh, plan_projection
+
+calls = 0
+gcd = polynomial.poly_gcd
+
+def counted(p, q):
+    global calls
+    calls += 1
+    return gcd(p, q)
+
+polynomial.poly_gcd = counted
+f = generate_dh(1, form="prenex")
+plan_projection(f, f.order, "none", ec_mode="resultant")
+print(calls)
+"""
+
+
+def test_plan_work_independent_of_hash_seed(time_budget):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    counts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _COUNT_GCDS], env=env,
+                             capture_output=True, text=True, check=True)
+        counts.append(int(out.stdout))
+    assert counts[0] == counts[1] > 0
