@@ -71,7 +71,7 @@ class CADTree:
         self.order = order
         self.plan = plan
         self.root = root
-        self.provenance = provenance  # level -> sorted lifting polynomials
+        self.provenance = provenance  # level -> lifting polynomials sorted by str
 
     def cells_at_level(self, k):
         frontier = [self.root]
@@ -100,7 +100,7 @@ class CADTree:
 
         return json.dumps({
             "order": list(self.order.names),
-            "provenance": {str(k): sorted(str(p) for p in ps)
+            "provenance": {str(k): [str(p) for p in ps]
                            for k, ps in self.provenance.items()},
             "root": dump(self.root),
         }, indent=2)
@@ -141,7 +141,8 @@ def _build_stack(base, roots, contributors, polys_in_order, order):
 
 
 def lift_stack(cell, level_polys, ec_at_base_level, v):
-    """Stack over `cell` in variable v.
+    """Stack over `cell` in variable v for level_polys, the level's lifting
+    polynomials in a fixed order (build_cad sorts them by str once per level).
 
     If the base level carries an EC and the base cell is a sector, the stack
     is the single cylinder cell (real root isolation is skipped there).
@@ -151,9 +152,8 @@ def lift_stack(cell, level_polys, ec_at_base_level, v):
     if ec_at_base_level and cell.kind == "sector":
         sample = base_sample.extended(AlgebraicNumber.from_rational(0))
         return [Cell(cell.index + (1,), sample, "sector", cylinder=True, parent=cell)]
-    polys = sorted(level_polys, key=str)
     groups = []
-    for p in polys:
+    for p in level_polys:
         rts = roots_above(p, base_sample, v)
         if rts is IDENTICALLY_ZERO:
             raise WellOrientednessError(
@@ -161,7 +161,7 @@ def lift_stack(cell, level_polys, ec_at_base_level, v):
                 % (p, cell.index))
         groups.append(rts)
     roots, contributors = merge_roots(groups)
-    return _build_stack(cell, roots, contributors, polys, cell.sample.order)
+    return _build_stack(cell, roots, contributors, level_polys, cell.sample.order)
 
 
 def build_cad(plan, cell_cap=1_000_000):
@@ -177,12 +177,12 @@ def build_cad(plan, cell_cap=1_000_000):
     provenance = {}
     for k in range(1, len(order) + 1):
         level = plan.level(k)
-        provenance[k] = set(level.lifting_polys)
+        polys = provenance[k] = tuple(sorted(level.lifting_polys, key=str))
         v = level.var
         ec_below = k > 1 and plan.level(k - 1).ec is not None
         next_frontier = []
         for cell in frontier:
-            stack = lift_stack(cell, level.lifting_polys, ec_below, v)
+            stack = lift_stack(cell, polys, ec_below, v)
             cell.children = stack
             total += len(stack)
             if total > cell_cap:
@@ -270,7 +270,7 @@ def locate(tree, point):
             continue
         v = tree.order.names[k - 1]
         groups = []
-        for p in sorted(tree.provenance[k], key=str):
+        for p in tree.provenance[k]:
             roots = roots_above(p, prefix, v)
             if roots is IDENTICALLY_ZERO:
                 raise WellOrientednessError(

@@ -610,14 +610,18 @@ def pseudo_rem(p, q, v):
     lc_q = q.leading_coeff_in(v)
     rem = p
     order = p.order
-    x = Polynomial.variable(order, v)
+    i = order.index(v)
     steps = 0
     while not rem.is_zero():
         dr = rem.degree_in(v)
         if dr < dq:
             break
         lc_r = rem.leading_coeff_in(v)
-        rem = rem * lc_q - q * lc_r * x ** (dr - dq)
+        # q * lc_r * v^(dr - dq), by shifting the exponents of v
+        k = dr - dq
+        shifted = {e[:i] + (e[i] + k,) + e[i + 1:]: c
+                   for e, c in (q * lc_r).terms.items()}
+        rem = rem * lc_q - Polynomial(order, shifted, _clean=True)
         steps += 1
     # The classical definition scales by exactly lc(q)^(dp-dq+1); pad when
     # intermediate degrees dropped by more than one.

@@ -23,8 +23,21 @@ isolate_coeffs takes the squarefree part of its input, then:
   narrower than 1/lc^2 it is the fraction with denominator at most lc
   nearest the midpoint; one Horner evaluation confirms it.
 
+Signs and roots over an algebraic sample point go through defining
+polynomials built by chains of resultants (_value_defining,
+_candidate_defining).  Each step resultant(d, P, var) is memoised, keyed on
+exactly those arguments: d, the coordinate's defining polynomial in var
+(after any factor the chain divided out of it), and the chain polynomial P.
+The entry is exact because a resultant depends on its arguments alone, not
+on which root of d the coordinate is or on its interval, so roots that
+share a defining polynomial share entries.  The memo is a dict on
+SamplePoint that extended() passes on: it lives as long as one tree of
+sample points (a CAD build and its truth assignment), and a SamplePoint
+made anew starts an empty one.
+
 Interval refinement mutates the cached interval but is monotone (intervals
-only shrink), so concurrent readers are safe; everything else is pure.
+only shrink), so concurrent readers are safe; the memo only gains entries
+that any reader would compute alike; everything else is pure.
 """
 
 from __future__ import annotations
@@ -553,17 +566,23 @@ def isolate_real_roots(p):
 
 
 class SamplePoint:
-    """Ordered coordinates (one AlgebraicNumber per variable) up to a level."""
+    """Ordered coordinates (one AlgebraicNumber per variable) up to a level.
 
-    __slots__ = ("order", "coords")
+    memo maps (d, P, var) to resultant(d, P, var) for the resultant chains
+    of sign_at and roots_above.  A new SamplePoint starts an empty memo and
+    extended() passes it on, so every point lifted from one root shares it.
+    """
 
-    def __init__(self, order, coords):
+    __slots__ = ("order", "coords", "memo")
+
+    def __init__(self, order, coords, memo=None):
         self.order = order
         self.coords = tuple(
             c if isinstance(c, AlgebraicNumber) else AlgebraicNumber.from_rational(c)
             for c in coords)
         if len(self.coords) > len(order):
             raise RealAlgebraError("more coordinates than variables")
+        self.memo = {} if memo is None else memo
 
     @property
     def level(self):
@@ -576,7 +595,7 @@ class SamplePoint:
         return self.coords[i]
 
     def extended(self, alpha):
-        return SamplePoint(self.order, self.coords + (alpha,))
+        return SamplePoint(self.order, self.coords + (alpha,), self.memo)
 
     def coord_map(self):
         return {self.order.names[i]: c for i, c in enumerate(self.coords)}
@@ -620,7 +639,17 @@ def interval_eval(p, boxes):
 _TVAR = "t_"
 
 
-def _value_defining(q, alg_coords):
+def _memo_resultant(memo, d, P, var):
+    """resultant(d, P, var), computed once per memo (see the module
+    docstring for why the entry is exact)."""
+    key = (d, P, var)
+    R = memo.get(key)
+    if R is None:
+        R = memo[key] = resultant(d, P, var)
+    return R
+
+
+def _value_defining(q, alg_coords, memo):
     """Defining polynomial (coefficient tuple in a fresh variable) of the
     value q(alpha_1, ..., alpha_k), by iterated resultants.
 
@@ -634,7 +663,7 @@ def _value_defining(q, alg_coords):
         if P.degree_in(var) == 0:
             continue
         d = _defining_poly(alpha, var, order2)
-        P = resultant(d, P, var)
+        P = _memo_resultant(memo, d, P, var)
     coeffs = [c.constant_value() for c in P.coeffs_in(_TVAR)]
     return trim(coeffs)
 
@@ -652,8 +681,9 @@ def _defining_poly(alpha, var, order):
     return Polynomial(order, terms)
 
 
-def sign_at_map(p, coord_map):
-    """Exact sign of p at the point given by coord_map (var -> AlgebraicNumber)."""
+def sign_at_map(p, coord_map, memo):
+    """Exact sign of p at the point given by coord_map (var -> AlgebraicNumber);
+    memo is the resultant memo of the coordinates' SamplePoint."""
     rational = {}
     algebraic = []
     for v in sorted(p.variables(), key=p.order.index):
@@ -684,7 +714,7 @@ def sign_at_map(p, coord_map):
         for _, a in algebraic:
             a.refine()
 
-    defining = _value_defining(q, algebraic)
+    defining = _value_defining(q, algebraic, memo)
     if defining[0] != 0:
         while True:
             s = try_interval()
@@ -716,7 +746,7 @@ def sign_at(p, s):
     cmap = {}
     for v in p.variables():
         cmap[v] = s.coordinate(v)
-    return sign_at_map(p, cmap)
+    return sign_at_map(p, cmap, s.memo)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +774,8 @@ def roots_above(p, s, v):
 
     coeffs = q.coeffs_in(v)
     coeff_signs = [
-        c.constant_value() != 0 if c.is_constant() else sign_at_map(c, dict(cmap)) != 0
+        c.constant_value() != 0 if c.is_constant()
+        else sign_at_map(c, dict(cmap), s.memo) != 0
         for c in coeffs]
     if not any(coeff_signs):
         return IDENTICALLY_ZERO
@@ -755,17 +786,17 @@ def roots_above(p, s, v):
         univ = [c.constant_value() for c in coeffs]
         return isolate_coeffs(trim(univ))
 
-    candidates = _candidate_defining(q, v, algebraic)
+    candidates = _candidate_defining(q, v, algebraic, s.memo)
     roots = []
     for rho in isolate_coeffs(candidates):
         full = dict(cmap)
         full[v] = rho
-        if sign_at_map(p, full) == 0:
+        if sign_at_map(p, full, s.memo) == 0:
             roots.append(rho)
     return roots
 
 
-def _candidate_defining(q, v, algebraic):
+def _candidate_defining(q, v, algebraic, memo):
     """Univariate candidate polynomial in v whose roots include those of the
     specialization of q; resultant chain with gcd fallback and elimination
     order retry for degenerate (shared-factor) cases."""
@@ -783,7 +814,7 @@ def _candidate_defining(q, v, algebraic):
             while True:
                 if P.degree_in(var) == 0:
                     break
-                R = resultant(d, P, var)
+                R = _memo_resultant(memo, d, P, var)
                 if not R.is_zero():
                     P = R
                     break

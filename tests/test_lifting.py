@@ -102,3 +102,27 @@ def test_cylinder_cells_over_ec_sectors():
     base = tree.cells_at_level(1)
     sectors = [c for c in base if c.kind == "sector"]
     assert all(len(c.children) == 1 and c.children[0].cylinder for c in sectors)
+
+
+def test_resultant_memo_per_tree(monkeypatch):
+    # Each argument triple reaches realalg's resultant once per CAD tree,
+    # and a second request does the same work again: no memo outlives its tree.
+    import cadec.realalg as realalg
+    real = realalg.resultant
+    calls = []
+
+    def counting(p, q, v):
+        calls.append((p, q, v))
+        return real(p, q, v)
+
+    monkeypatch.setattr(realalg, "resultant", counting)
+    order = VarOrder(["z", "y", "x"])
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        _, _, tree = _tree("x^2 + y^2 + z^2 - 1 = 0 and x + y + z = 0", order=order)
+        assert cell_count(tree)["per_level"] == [15, 117, 547]
+        assert calls
+        assert len(set(calls)) == len(calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -6,7 +6,7 @@ import pytest
 from cadec.polynomial import (
     ExactDivisionError, ParseError, Polynomial, VarOrder, _coprime_image,
     content_primitive, discriminant, divides, exact_div, integer_normalized,
-    is_primitive, parse_poly, poly_gcd, poly_to_str, resultant,
+    is_primitive, parse_poly, poly_gcd, poly_to_str, pseudo_rem, resultant,
     squarefree_basis, squarefree_part,
 )
 from oracles import sylvester_resultant
@@ -155,6 +155,39 @@ def test_product_equality_factor_contents():
     a = parse_poly("(y0 - y)*(y - z)", o)
     cont, _ = content_primitive(a, "z")
     assert integer_normalized(cont) == integer_normalized(parse_poly("y0 - y", o))
+
+
+def _assert_pseudo_rem(p, q, v):
+    """R = prem(p, q) has deg_v R < deg_v q, and q divides
+    lc_v(q)^(dp - dq + 1) * p - R exactly."""
+    r = pseudo_rem(p, q, v)
+    assert r.is_zero() or r.degree_in(v) < q.degree_in(v)
+    scale = q.leading_coeff_in(v) ** (p.degree_in(v) - q.degree_in(v) + 1)
+    exact_div(scale * p - r, q)
+    return r
+
+
+def test_pseudo_rem_random():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 120:
+        order = O2 if checked % 2 else O3
+        v = order.names[rng.randrange(len(order))]
+        p = random_poly(order, rng, max_deg=4, terms=5)
+        q = random_poly(order, rng, max_deg=3, terms=3)
+        if q.degree_in(v) < 1 or p.degree_in(v) < q.degree_in(v):
+            continue
+        _assert_pseudo_rem(p, q, v)
+        checked += 1
+
+
+def test_pseudo_rem_degree_drop_pads():
+    # x^3 by y*x^2 + 1: the first step leaves -x, a drop of two degrees, so
+    # the remainder is padded by one more factor lc = y
+    assert _assert_pseudo_rem(P("x^3"), P("y*x^2 + 1"), "x") == P("-y*x")
+    o = O3
+    assert (_assert_pseudo_rem(parse_poly("x^3 + z", o), parse_poly("y*z*x^2 + y", o), "x")
+            == parse_poly("y^2*z*(z^2 - x)", o))
 
 
 def test_resultant_examples():

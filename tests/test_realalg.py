@@ -190,3 +190,70 @@ def test_low_degree_closed_forms():
     for _ in range(100):
         coeffs = (rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(1, 99))
         _check_isolation(coeffs, isolate_coeffs(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the resultant memo shared by the sample points of one tree
+
+
+def _sturm_sign(u, w, lo, hi):
+    """Oracle sign of w at the one root of u in (lo, hi], by Sturm counts:
+    bisect until w has no root left in the interval, or its only root there
+    is the root of u (then u*w has one distinct root there, not two)."""
+    while True:
+        if sturm_count_between(w, lo, hi) == 0:
+            v = value_at(w, (lo + hi) / 2)
+            return (v > 0) - (v < 0)
+        if sturm_count_between(_poly_mul(u, w), lo, hi) == 1:
+            return 0
+        mid = (lo + hi) / 2
+        if sturm_count_between(u, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+
+
+def test_shared_memo_matches_fresh_points(time_budget):
+    # The roots -sqrt 3, -sqrt 2, sqrt 2, sqrt 3 all carry the squarefree,
+    # reducible defining polynomial (y^2 - 2)(y^2 - 3), so their resultant
+    # chains share memo keys.  Each q is even in y, so at y = alpha it is the
+    # rational u(x) with y^2 -> alpha^2, which the oracles check against.
+    # (y^2 - 3)(x^2 - y^2) and (y^2 - 2)(x - 1) share a factor with the
+    # defining polynomial: at the roots of the other factor the chain divides
+    # it out before its resultant, and at their own roots q vanishes.
+    d = (6, 0, -5, 0, 1)
+    base = SamplePoint(O2, ())
+    shared = [base.extended(r) for r in isolate_coeffs(d)]
+    lifted = ["x^2 - y^2", "x*y^2 - 2*x - 1", "(y^2 - 3)*(x^2 - y^2)",
+              "(y^2 - 2)*(x - 1)", "x^3 - y^2*x + 1"]
+    signed = ["x^2 - y^2", "2*x^2 - y^2 - 1", "x^3 + y^2*x - 5", "x*y^2 - 3*x"]
+
+    def image(text, a):
+        poly = parse_poly(text.replace("y^2", "(%d)" % a), O2)
+        return [int(c.constant_value()) for c in poly.coeffs_in("x")]
+
+    checked_zero = 0
+    for i, s in enumerate(shared):
+        a = 2 if abs(float(s.coords[0])) < 1.6 else 3  # alpha^2
+        alpha = isolate_coeffs(d)[i]  # the same root, with no shared memo
+        for text in lifted:
+            q = parse_poly(text, O2)
+            u = image(text, a)
+            got = roots_above(q, s, "x")
+            fresh = roots_above(q, SamplePoint(O2, (alpha,)), "x")
+            if not any(u):
+                assert got is IDENTICALLY_ZERO and fresh is IDENTICALLY_ZERO
+                continue
+            _check_isolation(u, got)
+            assert len(fresh) == len(got)
+            assert all(compare(g, f) == 0 for g, f in zip(got, fresh))
+            for j, rho in enumerate(got):
+                point = s.extended(rho)
+                fresh_point = SamplePoint(O2, (alpha, fresh[j]))
+                for w_text in signed:
+                    w = parse_poly(w_text, O2)
+                    expected = _sturm_sign(u, image(w_text, a), rho.lo, rho.hi)
+                    assert sign_at(w, point) == sign_at(w, fresh_point) == expected
+                    checked_zero += expected == 0
+    assert checked_zero >= 4
+    assert base.memo and all(s.memo is base.memo for s in shared)
