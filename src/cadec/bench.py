@@ -191,6 +191,10 @@ MODES = ("sign-invariant", "ec-reduced-resultant", "ec-reduced-gb")
 _MODE_SHORT = {"sign-invariant": "si",
                "ec-reduced-resultant": "ec-res",
                "ec-reduced-gb": "ec-gb"}
+# (ec_policy, ec_mode) of plan_projection for each mode, by its short name
+MODE_POLICY = {"si": ("none", "resultant"),
+               "ec-res": ("auto", "resultant"),
+               "ec-gb": ("auto", "groebner")}
 _MODE_FROM_SHORT = {v: k for k, v in _MODE_SHORT.items()}
 
 
@@ -236,14 +240,9 @@ def run_one(fid, f, mode, cell_cap=DEFAULT_CELL_CAP,
     m, d = formula_stats(f)
     report = BoundReport(id=fid, mode=mode, n=n, m=m, d=d,
                          eq1_value=bound_eq1(n, m, d), status="ok")
-    if mode == "sign-invariant":
-        policy, ec_mode = "none", "resultant"
-    elif mode == "ec-reduced-resultant":
-        policy, ec_mode = "auto", "resultant"
-    elif mode == "ec-reduced-gb":
-        policy, ec_mode = "auto", "groebner"
-    else:
+    if mode not in _MODE_SHORT:
         raise ValueError("unknown mode %r" % mode)
+    policy, ec_mode = MODE_POLICY[_MODE_SHORT[mode]]
     start = time.perf_counter()
     try:
         plan = plan_projection(f, order, policy, ec_mode=ec_mode,

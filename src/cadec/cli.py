@@ -28,11 +28,6 @@ EXIT_PARSE = 2
 EXIT_WELL_ORIENTED = 3
 EXIT_CAP = 4
 
-_MODE_POLICY = {"si": ("none", "resultant"),
-                "ec-res": ("auto", "resultant"),
-                "ec-gb": ("auto", "groebner")}
-
-
 def _read_formula(text_or_path, order_csv):
     order = VarOrder([v.strip() for v in order_csv.split(",") if v.strip()])
     if os.path.exists(text_or_path):
@@ -45,7 +40,7 @@ def _read_formula(text_or_path, order_csv):
 
 def _build(args):
     f = _read_formula(args.formula, args.order)
-    policy, ec_mode = _MODE_POLICY[args.mode]
+    policy, ec_mode = bench.MODE_POLICY[args.mode]
     plan = plan_projection(f, f.order, policy, ec_mode=ec_mode)
     tree = build_cad(plan)
     truth_assign(tree, f)
@@ -66,8 +61,7 @@ def cmd_cad_build(args):
 
 def cmd_cad_decide(args):
     f = _read_formula(args.formula, args.order)
-    _, ec_mode = _MODE_POLICY[args.mode]
-    policy = "none" if args.mode == "si" else "auto"
+    policy, ec_mode = bench.MODE_POLICY[args.mode]
     value = decide(f, ec_policy=policy, ec_mode=ec_mode)
     print("true" if value else "false")
     return EXIT_OK
@@ -176,7 +170,7 @@ def build_parser():
                        help="formula text or path to a file containing it")
         p.add_argument("--order", required=True,
                        help="comma-separated variables, lowest first (e.g. y,x)")
-        p.add_argument("--mode", choices=("si", "ec-res", "ec-gb"), default="si")
+        p.add_argument("--mode", choices=tuple(bench.MODE_POLICY), default="si")
         if name == "build":
             p.add_argument("--json", help="write the cell tree as JSON")
         p.set_defaults(fn=fn)

@@ -1,9 +1,39 @@
-"""Buchberger's algorithm, ideal dimension, and elimination ideals."""
+"""Buchberger's algorithm, ideal dimension, and elimination ideals.
+
+normal_form divides by a heap.  Each generator's leading monomial is taken
+once, and its tail is kept scaled by 1/lc.  The dividend lives in one
+mutable {exponent: Fraction} map, and a heap of order keys yields its next
+largest monomial; a term that cancelled is dropped when it surfaces.  A
+reduction step subtracts coeff * shift * tail term by term, so no
+Polynomial is built per step.  The divisor of a term is still the first
+generator, in basis.gens order, whose leading monomial divides it, so the
+remainder is that of plain multivariate division for every basis, Groebner
+or not.
+
+buchberger keeps a pair set under the Gebauer-Moeller update (1988).  A new
+generator h pairs with each live generator g.  Of these pairs, criterion F
+keeps one per lcm, criterion M drops one whose lcm another new lcm properly
+divides, and the coprime criterion drops those whose leading monomials share
+no variable (after they have served M and F).  Criterion B drops an old pair
+(f, g) whose lcm LM(h) divides, unless lcm(LM(f), LM(h)) or
+lcm(LM(g), LM(h)) equals it.  A generator is live until a later one's
+leading monomial divides its own, and S-polynomials are reduced by the live
+generators only; an input generator is reduced by them before it joins.
+The next pair is the one with the smallest lcm under the monomial order
+(the normal strategy).
+
+The live generators form a Groebner basis with pairwise non-dividing
+leading monomials, so reducing each tail by the others gives the reduced
+monic basis.  That basis is unique for the ideal and the order, so neither
+the pair order nor the criteria change any output.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import itemgetter, le
 
 from .polynomial import Polynomial, PolynomialError, VarOrder
 
@@ -32,6 +62,12 @@ class MonomialOrder:
             return tuple(reversed(expt))
         return (sum(expt), tuple(-e for e in expt))
 
+    def heap_key(self, expt):
+        """The negation of key(expt): the largest monomial sorts first."""
+        if self.kind == "lex":
+            return tuple(-e for e in reversed(expt))
+        return (-sum(expt), expt)
+
     def leading(self, p):
         if p.is_zero():
             raise GroebnerError("leading term of zero polynomial")
@@ -52,16 +88,25 @@ class MonomialOrder:
 class IdealBasis:
     """A generating set of an ideal under a monomial order."""
 
-    __slots__ = ("gens", "morder", "is_groebner")
+    __slots__ = ("gens", "morder", "is_groebner", "_divisors")
 
-    def __init__(self, gens, morder, is_groebner=False):
+    def __init__(self, gens, morder, is_groebner=False, _divisors=None):
         self.gens = tuple(gens)
         self.morder = morder
         self.is_groebner = is_groebner
+        self._divisors = _divisors
 
     @property
     def order(self):
         return self.morder.order
+
+    def divisors(self):
+        """(leading monomial, tail scaled by 1/lc) of each non-zero
+        generator, in gens order; computed once."""
+        if self._divisors is None:
+            self._divisors = [_divisor(g, self.morder) for g in self.gens
+                              if not g.is_zero()]
+        return self._divisors
 
     def __iter__(self):
         return iter(self.gens)
@@ -79,39 +124,63 @@ def _monomial(order, expt, coeff=Fraction(1)):
 
 
 def _divides_mono(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _divisor(g, morder):
+    lead, lc = morder.leading(g)
+    return lead, [(e, c / lc) for e, c in g.terms.items() if e != lead]
 
 
 def normal_form(p, basis):
-    """Remainder of multivariate division of p by the basis generators."""
+    """Remainder of multivariate division of p by the basis generators.
+
+    Each term is divided by the first generator, in basis.gens order, whose
+    leading monomial divides it."""
     morder = basis.morder
     order = morder.order
     if p.order != order:
         raise GroebnerError("mixed variable orderings")
-    leads = [(morder.leading(g), g) for g in basis.gens if not g.is_zero()]
-    remainder = Polynomial.zero(order)
-    work = p
-    while not work.is_zero():
-        expt = max(work.terms, key=morder.key)
-        coeff = work.terms[expt]
-        for (lexpt, lcoeff), g in leads:
-            if _divides_mono(lexpt, expt):
-                factor = _monomial(order,
-                                   tuple(a - b for a, b in zip(expt, lexpt)),
-                                   coeff / lcoeff)
-                work = work - factor * g
+    divisors = basis.divisors()
+    heap_key = morder.heap_key
+    work = dict(p.terms)
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        expt = heappop(heap)[1]
+        coeff = work.pop(expt, None)
+        if coeff is None:
+            continue  # the term cancelled, or was taken from an earlier entry
+        for lead, tail in divisors:
+            if all(map(le, lead, expt)):
+                shift = [a - b for a, b in zip(expt, lead)]
+                for texpt, tcoeff in tail:
+                    m = tuple(map(int.__add__, shift, texpt))
+                    c = work.get(m)
+                    if c is None:
+                        work[m] = -coeff * tcoeff
+                        heappush(heap, (heap_key(m), m))
+                    else:
+                        c -= coeff * tcoeff
+                        if c:
+                            work[m] = c
+                        else:
+                            del work[m]
                 break
         else:
-            mono = _monomial(order, expt, coeff)
-            remainder = remainder + mono
-            work = work - mono
-    return remainder
+            remainder[expt] = coeff
+    return Polynomial(order, remainder, _clean=True)
 
 
 def s_polynomial(f, g, morder):
     (ef, cf) = morder.leading(f)
     (eg, cg) = morder.leading(g)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    lcm = _lcm(ef, eg)
     order = morder.order
     mf = _monomial(order, tuple(a - b for a, b in zip(lcm, ef)), 1 / cf)
     mg = _monomial(order, tuple(a - b for a, b in zip(lcm, eg)), 1 / cg)
@@ -125,79 +194,74 @@ def _monic(p, morder):
 
 def buchberger(gens, morder):
     """Reduced Groebner basis of the ideal generated by gens."""
-    basis = []
+    found = []  # every generator inserted, monic
+    divs = []   # their divisor entries, as IdealBasis.divisors() lists them
+    leads = []  # their leading monomials
+    live = []   # indices of the live generators, in insertion order
+    pairs = {}  # (i, j) with i < j -> (order key of the lcm, lcm)
+    live_basis = IdealBasis((), morder)
+
+    def insert(r):
+        nonlocal live, live_basis
+        h = _monic(r, morder)
+        found.append(h)
+        divs.append(_divisor(h, morder))
+        leads.append(divs[-1][0])
+        live = _update(len(found) - 1, leads, live, pairs, morder)
+        live_basis = IdealBasis([found[k] for k in live], morder,
+                                _divisors=[divs[k] for k in live])
+
     for g in gens:
-        if g.is_zero():
-            continue
-        if g.order != morder.order:
-            raise GroebnerError("mixed variable orderings")
-        basis.append(_monic(g, morder))
-    if not basis:
-        # the zero ideal: an empty basis is (vacuously) a Groebner basis
-        return IdealBasis([], morder, is_groebner=True)
-
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+        if not g.is_zero():
+            # reduced first, so that no live leading monomial divides another
+            r = normal_form(g, live_basis)
+            if not r.is_zero():
+                insert(r)
     while pairs:
-        i, j = pairs.pop(0)
-        f, g = basis[i], basis[j]
-        ef, _ = morder.leading(f)
-        eg, _ = morder.leading(g)
-        # Buchberger's first criterion: coprime leading monomials
-        if all(a == 0 or b == 0 for a, b in zip(ef, eg)):
-            continue
-        lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-        # chain criterion: some k with LM(k) | lcm and both pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            ek, _ = morder.leading(basis[k])
-            if _divides_mono(ek, lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pairs and p2 not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = normal_form(s_polynomial(f, g, morder),
-                        IdealBasis(basis, morder))
+        i, j = min(pairs, key=pairs.get)  # the normal strategy
+        del pairs[i, j]
+        r = normal_form(s_polynomial(found[i], found[j], morder), live_basis)
         if not r.is_zero():
-            r = _monic(r, morder)
-            basis.append(r)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-
-    return IdealBasis(_autoreduce(basis, morder), morder, is_groebner=True)
+            insert(r)
+    return IdealBasis(_autoreduce(live_basis), morder, is_groebner=True)
 
 
-def _autoreduce(basis, morder):
-    # drop generators whose leading monomial is divisible by another's
-    basis = list(basis)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(basis):
-            others = basis[:i] + basis[i + 1:]
-            if not others:
-                continue
-            eg, _ = morder.leading(g)
-            for h in others:
-                eh, _ = morder.leading(h)
-                if _divides_mono(eh, eg):
-                    basis.pop(i)
-                    changed = True
-                    break
-            if changed:
-                break
-    # fully reduce each generator's tail against the others
+def _update(ih, leads, live, pairs, morder):
+    """Gebauer-Moeller update of the pair set for the new generator ih;
+    returns the new live list."""
+    lh = leads[ih]
+    # criterion B: LM(h) divides the lcm m of (i, j), and neither
+    # lcm(LM(i), LM(h)) nor lcm(LM(j), LM(h)) is m
+    for (i, j), (_, m) in list(pairs.items()):
+        if (_divides_mono(lh, m) and _lcm(leads[i], lh) != m
+                and _lcm(leads[j], lh) != m):
+            del pairs[i, j]
+    # criterion F: one pair per lcm, a coprime one where there is one
+    new = {}
+    for ig in live:
+        lg = leads[ig]
+        m = _lcm(lg, lh)
+        coprime = not any(a and b for a, b in zip(lg, lh))
+        if coprime or m not in new:
+            new[m] = (ig, coprime)
+    for m, (ig, coprime) in new.items():
+        # the coprime criterion, then criterion M
+        if not coprime and not any(n != m and _divides_mono(n, m) for n in new):
+            pairs[ig, ih] = (morder.key(m), m)
+    return [ig for ig in live if not _divides_mono(lh, leads[ig])] + [ih]
+
+
+def _autoreduce(basis):
+    # no leading monomial divides another, so every leading term (with
+    # coefficient 1) survives the reduction of its generator by the others
+    gens, divs, morder = basis.gens, basis.divisors(), basis.morder
     result = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        if others:
-            g = normal_form(g, IdealBasis(others, morder))
-        result.append(_monic(g, morder))
-    result.sort(key=lambda p: morder.key(morder.leading(p)[0]))
-    return result
+    for i, g in enumerate(gens):
+        others = IdealBasis(gens[:i] + gens[i + 1:], morder,
+                            _divisors=divs[:i] + divs[i + 1:])
+        result.append((morder.key(divs[i][0]), normal_form(g, others)))
+    result.sort(key=itemgetter(0))
+    return [g for _, g in result]
 
 
 def is_trivial(basis):

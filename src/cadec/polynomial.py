@@ -157,7 +157,9 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(all(e == 0 for e in expt) for expt in self.terms)
+        # the term map is canonical: a non-zero constant is one term at 0
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self):
         if self.is_zero():

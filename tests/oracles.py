@@ -192,3 +192,71 @@ def sturm_count_all(coeffs):
         return 0
     bound = 1 + max(abs(x / c[-1]) for x in c[:-1])
     return sturm_count_between(coeffs, -bound, bound)
+
+
+# ---------------------------------------------------------------------------
+# Groebner references: plain division and Buchberger without criteria
+
+
+def _lead(p, morder):
+    expt = max(p.terms, key=morder.key)
+    return expt, p.terms[expt]
+
+
+def reference_normal_form(p, gens, morder):
+    """Remainder of p divided by gens, one Polynomial step at a time: the
+    largest remaining term is divided by the first generator whose leading
+    monomial divides it, or else moved to the remainder."""
+    order = p.order
+    leads = [(_lead(g, morder), g) for g in gens if not g.is_zero()]
+    remainder = Polynomial.zero(order)
+    work = p
+    while not work.is_zero():
+        expt, coeff = _lead(work, morder)
+        for (lexpt, lcoeff), g in leads:
+            if all(a <= b for a, b in zip(lexpt, expt)):
+                shift = tuple(a - b for a, b in zip(expt, lexpt))
+                work = work - Polynomial.monomial(order, shift, coeff / lcoeff) * g
+                break
+        else:
+            mono = Polynomial.monomial(order, expt, coeff)
+            remainder = remainder + mono
+            work = work - mono
+    return remainder
+
+
+def reference_s_polynomial(f, g, morder):
+    (ef, cf), (eg, cg) = _lead(f, morder), _lead(g, morder)
+    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
+    order = f.order
+    return (Polynomial.monomial(order, [a - b for a, b in zip(lcm, ef)], 1 / cf) * f
+            - Polynomial.monomial(order, [a - b for a, b in zip(lcm, eg)], 1 / cg) * g)
+
+
+def reference_groebner(gens, morder):
+    """Reduced monic Groebner basis, sorted by leading monomial, by plain
+    Buchberger: the S-polynomial of every pair is reduced, with no
+    criterion; then generators whose leading monomial another one divides
+    are dropped, and each tail is reduced by the others."""
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        r = reference_normal_form(
+            reference_s_polynomial(basis[i], basis[j], morder), basis, morder)
+        if not r.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    # ascending leading monomials: a divisor of a leading monomial comes first
+    basis.sort(key=lambda g: morder.key(_lead(g, morder)[0]))
+    minimal = []
+    for g in basis:
+        eg = _lead(g, morder)[0]
+        if not any(all(a <= b for a, b in zip(_lead(h, morder)[0], eg))
+                   for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = reference_normal_form(g, minimal[:i] + minimal[i + 1:], morder)
+        reduced.append(r * (1 / _lead(r, morder)[1]))
+    return reduced

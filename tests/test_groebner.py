@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from cadec.groebner import (
     GroebnerError, IdealBasis, MonomialOrder, buchberger, dimension,
     elimination_ideal, is_trivial, normal_form, s_polynomial,
 )
+from oracles import reference_groebner, reference_normal_form
 
 OZ = VarOrder(["y", "x", "z"])  # z highest
 
@@ -20,10 +22,13 @@ def lex(order=OZ):
     return MonomialOrder("lex", order)
 
 
-def random_poly(order, rng):
+O4 = VarOrder(["w", "y", "x", "z"])
+
+
+def random_poly(order, rng, terms=3, top=2):
     p = Polynomial.zero(order)
-    for _ in range(3):
-        expt = tuple(rng.randint(0, 2) for _ in range(len(order)))
+    for _ in range(terms):
+        expt = tuple(rng.randint(0, top) for _ in range(len(order)))
         p = p + Polynomial.monomial(order, expt, Fraction(rng.randint(-5, 5)))
     return p
 
@@ -90,3 +95,51 @@ def test_dimension_requires_groebner():
     raw = IdealBasis([P("z^2 - x"), P("z^2 - y")], lex())
     with pytest.raises(GroebnerError):
         dimension(raw)
+
+
+@pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+@pytest.mark.parametrize("order", [OZ, O4], ids=["3vars", "4vars"])
+def test_normal_form_matches_reference_division(kind, order):
+    # random generator lists are not Groebner bases, so the remainder
+    # depends on which generator divides each term: the first that can
+    rng = random.Random(7)
+    morder = MonomialOrder(kind, order)
+    for trial in range(40):
+        gens = [random_poly(order, rng) for _ in range(rng.randint(1, 4))]
+        if trial % 3 == 1:
+            gens.insert(rng.randrange(len(gens) + 1), Polynomial.zero(order))
+        g = gens[-1]
+        if trial % 3 == 2 and not g.is_constant():
+            # a repeated leading monomial with a different tail, ahead of g
+            expt, coeff = morder.leading(g)
+            twin = Polynomial.monomial(order, expt, coeff) + rng.randint(1, 5)
+            gens.insert(rng.randrange(len(gens)), twin)
+        p = random_poly(order, rng, terms=6, top=3)
+        assert (normal_form(p, IdealBasis(gens, morder))
+                == reference_normal_form(p, gens, morder))
+
+
+@pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+def test_buchberger_matches_reference(kind):
+    rng = random.Random(29)
+    morder = MonomialOrder(kind, OZ)
+    ideals = [[random_poly(OZ, rng) for _ in range(rng.randint(1, 3))]
+              for _ in range(12)]
+    ideals += [
+        [],
+        [Polynomial.zero(OZ)],
+        [P("x"), P("x + 1")],
+        # LM(x*y - 1) divides the lcm x^2*y^2 of the first two generators'
+        # pair and raises neither part of it: criterion B drops that pair
+        [P("x^2*y - x"), P("x*y^2 - y"), P("x*y - 1")],
+    ]
+    for gens in ideals:
+        basis = buchberger(gens, morder)
+        assert list(basis.gens) == reference_groebner(gens, morder)
+        for f, g in combinations(basis.gens, 2):
+            assert normal_form(s_polynomial(f, g, morder), basis).is_zero()
+        for g in gens:
+            assert normal_form(g, basis).is_zero()
+    assert buchberger(ideals[-4], morder).gens == ()
+    assert buchberger(ideals[-2], morder).gens == (P("1"),)
+    assert buchberger(ideals[-1], morder).gens == (P("x*y - 1"),)

@@ -35,6 +35,12 @@ def test_parse_roundtrip():
     assert parse_poly(poly_to_str(p), O2) == p
 
 
+def test_is_constant():
+    for text, constant in (("0", True), ("-3/2", True), ("x*y - y*x + 2", True),
+                           ("y", False), ("x + 1", False), ("x^2*y", False)):
+        assert P(text).is_constant() is constant
+
+
 def test_parse_rejects_garbage():
     for bad in ("x +", "2 ** x", "(x", "x^", "and"):
         with pytest.raises(ParseError):
