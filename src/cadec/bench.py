@@ -234,14 +234,18 @@ def formula_stats(f):
 
 def run_one(fid, f, mode, cell_cap=DEFAULT_CELL_CAP,
             projection_cap=DEFAULT_PROJECTION_CAP):
-    """One experiment row; failures are reported in status, never raised."""
+    """One experiment row; failures are reported in status, never raised.
+
+    mode is a long name (MODES) or its short name (MODE_POLICY); the row
+    carries the long name."""
+    mode = _MODE_FROM_SHORT.get(mode, mode)
+    if mode not in _MODE_SHORT:
+        raise ValueError("unknown mode %r" % mode)
     order = f.order
     n = len(order)
     m, d = formula_stats(f)
     report = BoundReport(id=fid, mode=mode, n=n, m=m, d=d,
                          eq1_value=bound_eq1(n, m, d), status="ok")
-    if mode not in _MODE_SHORT:
-        raise ValueError("unknown mode %r" % mode)
     policy, ec_mode = MODE_POLICY[_MODE_SHORT[mode]]
     start = time.perf_counter()
     try:
@@ -271,7 +275,6 @@ def run_experiment(corpus, modes=MODES, cell_cap=DEFAULT_CELL_CAP,
 
     corpus: iterable of (id, Formula); returns a list of BoundReport in
     deterministic (corpus, mode) order."""
-    modes = [_MODE_FROM_SHORT.get(m, m) for m in modes]
     reports = []
     for fid, f in corpus:
         for mode in modes:

@@ -110,17 +110,35 @@ class CADTree:
 # stack construction
 
 
+def _lower(alpha):
+    return alpha.rational_value() if alpha.is_rational else alpha.lo
+
+
+def _upper(alpha):
+    return alpha.rational_value() if alpha.is_rational else alpha.hi
+
+
 def _sector_samples(roots):
-    """Rational sector samples strictly interleaving the given sorted roots."""
+    """Rational sector samples strictly interleaving the given sorted roots.
+
+    A rational root counts as its exact value, so two rationals take their
+    midpoint.  Irrational roots are refined until the gap clears: strictly
+    when one neighbour is a rational q (a shared endpoint would make the
+    sample q, the root itself); two irrational intervals may share an
+    endpoint, which is a root of neither."""
     if not roots:
         return [Fraction(0)]
-    samples = [Fraction(floor(roots[0].lo)) - 1]
+    samples = [Fraction(floor(_lower(roots[0]))) - 1]
     for a, b in zip(roots, roots[1:]):
-        while a.hi > b.lo:
-            a.refine()
-            b.refine()
-        samples.append((a.hi + b.lo) / 2)
-    samples.append(Fraction(ceil(roots[-1].hi)) + 1)
+        while True:
+            hi, lo = _upper(a), _lower(b)
+            if hi < lo or (hi == lo and not a.is_rational and not b.is_rational):
+                break
+            for r in (a, b):
+                if not r.is_rational:
+                    r.refine()
+        samples.append((hi + lo) / 2)
+    samples.append(Fraction(ceil(_upper(roots[-1]))) + 1)
     return samples
 
 

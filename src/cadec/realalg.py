@@ -23,6 +23,26 @@ isolate_coeffs takes the squarefree part of its input, then:
   narrower than 1/lc^2 it is the fraction with denominator at most lc
   nearest the midpoint; one Horner evaluation confirms it.
 
+At a rational point no Fraction arithmetic is needed either.  Where every
+coordinate of p other than the lifting variable is a rational n_i/d_i,
+roots_above builds the integer tuple in that variable straight from p's terms
+(_specialise): each term is scaled by the lcm of p's coefficient
+denominators times prod d_i^deg_i(p).  The factor is positive, so the
+primitive part, and with it every defining polynomial and isolating
+interval, equals that of the Fraction specialisation; sign_at at an
+all-rational point is the sign of one such integer sum.  interval_eval
+scales each box to one denominator per variable and homogenises each term
+to p's degree in it, so the sums are on integers and the one division at the
+end gives the same exact interval.
+
+Roots are separated from their neighbours only.  isolate_coeffs sorts its
+roots by exact comparison and refines adjacent intervals until they are
+disjoint, which makes every pair disjoint; merge_roots sorts exactly and
+leaves intervals as they are; lifting separates adjacent roots when it
+picks a sector sample between them.  Only how far intervals are refined
+changes, and with it which rational a sector sample is; no root, sign,
+cell count or truth value does.
+
 Signs and roots over an algebraic sample point go through defining
 polynomials built by chains of resultants (_value_defining,
 _candidate_defining).  Each step resultant(d, P, var) is memoised, keyed on
@@ -43,6 +63,7 @@ that any reader would compute alike; everything else is pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import isqrt, lcm
 
 from .polynomial import (
@@ -313,11 +334,12 @@ class AlgebraicNumber:
     integer tuple) plus an open rational interval containing exactly one of
     its real roots.
 
-    Rational numbers are the degenerate case (defining d x - n).  Refinement
-    shrinks the interval in place and is monotone.
+    Rational numbers are the degenerate case (defining d x - n); their value
+    is kept once known.  Refinement shrinks the interval in place and is
+    monotone.
     """
 
-    __slots__ = ("coeffs", "lo", "hi", "_sign_lo")
+    __slots__ = ("coeffs", "lo", "hi", "_sign_lo", "_value")
 
     def __init__(self, coeffs, lo, hi, _sign_lo=None):
         self.coeffs = tuple(coeffs)
@@ -328,20 +350,29 @@ class AlgebraicNumber:
             if _sign_lo == 0:
                 raise RealAlgebraError("isolating interval endpoint is a root")
         self._sign_lo = _sign_lo
+        self._value = None
 
     @classmethod
     def from_rational(cls, q):
         q = _fraction(q)
-        return cls((-q.numerator, q.denominator), q - 1, q + 1, _sign_lo=-1)
+        n, d = q.numerator, q.denominator
+        alpha = cls.__new__(cls)
+        alpha.coeffs = (-n, d)
+        alpha.lo, alpha.hi = Fraction(n - d, d), Fraction(n + d, d)
+        alpha._sign_lo = -1
+        alpha._value = q
+        return alpha
 
     @property
     def is_rational(self):
         return len(self.coeffs) == 2
 
     def rational_value(self):
-        if not self.is_rational:
-            raise RealAlgebraError("not a known-rational algebraic number")
-        return Fraction(-self.coeffs[0], self.coeffs[1])
+        if self._value is None:
+            if not self.is_rational:
+                raise RealAlgebraError("not a known-rational algebraic number")
+            self._value = Fraction(-self.coeffs[0], self.coeffs[1])
+        return self._value
 
     def refine(self):
         """One bisection step; may discover the value is rational."""
@@ -354,6 +385,7 @@ class AlgebraicNumber:
         s = usign(self.coeffs, m)
         if s == 0:
             self.coeffs = (-m.numerator, m.denominator)
+            self._value = m
             width = (self.hi - self.lo) / 4
             self.lo, self.hi = m - width, m + width
             self._sign_lo = -1
@@ -493,32 +525,20 @@ def isolate_coeffs(coeffs):
     if len(f) <= 3:
         return _isolate_small(f)
     roots = _isolate_bisect(f)
-    _separate(roots)
-    roots.sort(key=_sort_key)
+    roots.sort(key=cmp_to_key(compare))
+    # the list is sorted, so disjoint neighbours make every pair disjoint
+    for a, b in zip(roots, roots[1:]):
+        while a.hi > b.lo:
+            a.refine()
+            b.refine()
     return roots
-
-
-def _sort_key(alpha):
-    return (alpha.lo + alpha.hi) / 2
-
-
-def _separate(roots):
-    """Refine until all isolating intervals are pairwise disjoint."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                a, b = roots[i], roots[j]
-                if a.hi > b.lo and b.hi > a.lo:
-                    a.refine()
-                    b.refine()
-                    changed = True
 
 
 def merge_roots(groups):
     """Merge lists of already-isolated roots into one strictly sorted list,
-    removing duplicates across groups (exact comparison).
+    removing duplicates across groups (exact comparison).  Intervals of
+    neighbours may still overlap; lifting separates adjacent roots when it
+    picks the sector samples between them.
 
     Returns (sorted_roots, contributors) where contributors[i] is the set of
     group indices whose polynomial vanishes at sorted_roots[i].
@@ -542,8 +562,6 @@ def merge_roots(groups):
             if not placed:
                 merged.append(r)
                 contributors.append({gi})
-    # re-separate: intervals from different groups may still overlap
-    _separate(merged)
     return merged, contributors
 
 
@@ -595,7 +613,15 @@ class SamplePoint:
         return self.coords[i]
 
     def extended(self, alpha):
-        return SamplePoint(self.order, self.coords + (alpha,), self.memo)
+        if not isinstance(alpha, AlgebraicNumber):
+            alpha = AlgebraicNumber.from_rational(alpha)
+        if len(self.coords) >= len(self.order):
+            raise RealAlgebraError("more coordinates than variables")
+        point = SamplePoint.__new__(SamplePoint)
+        point.order = self.order
+        point.coords = self.coords + (alpha,)
+        point.memo = self.memo
+        return point
 
     def coord_map(self):
         return {self.order.names[i]: c for i, c in enumerate(self.coords)}
@@ -605,35 +631,99 @@ class SamplePoint:
             "%s=%s" % (n, c) for n, c in zip(self.order.names, self.coords))
 
 
-def _interval_pow(lo, hi, e):
-    if e == 1:
-        return lo, hi
+def _specialise(p, values, vi=None):
+    """Integer coefficients of p at a rational point, in the variable at
+    position vi (one entry when vi is None).
+
+    values maps positions of p's order to Fractions n/d and must cover
+    every variable of p but vi.  Each term c x^e is scaled by den(p) *
+    prod d_i^deg_i(p), den(p) the lcm of p's coefficient denominators, so it
+    contributes the integer c den(p) prod n_i^e_i d_i^(deg_i - e_i).  The
+    factor is positive: the result has the signs, roots and primitive part
+    of the Fraction specialisation."""
+    terms = p.terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    degs = [max(col) for col in zip(*terms)]
+    tables = []
+    for i, q in values.items():
+        deg = degs[i]
+        if not deg:
+            continue
+        n, d = q.numerator, q.denominator
+        if d == 1:
+            tables.append((i, [n ** e for e in range(deg + 1)]))
+        else:
+            tables.append((i, [n ** e * d ** (deg - e) for e in range(deg + 1)]))
+    out = [0] * (1 if vi is None else degs[vi] + 1)
+    for expt, c in terms.items():
+        c = c.numerator * (den // c.denominator)
+        for i, table in tables:
+            c *= table[expt[i]]
+        out[expt[vi] if vi is not None else 0] += c
+    return out
+
+
+def _int_pow_range(lo, hi, e):
+    """The range of x^e over the integer interval [lo, hi]."""
     plo, phi = lo ** e, hi ** e
-    if e % 2 == 1:
-        return plo, phi
-    if lo >= 0:
+    if e % 2 or lo >= 0:
         return plo, phi
     if hi <= 0:
         return phi, plo
-    return Fraction(0), max(plo, phi)
-
-
-def _interval_mul(a, b):
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
+    return 0, max(plo, phi)
 
 
 def interval_eval(p, boxes):
-    """Enclosing interval of p over a box (var -> (lo, hi)); exact rational."""
-    total = (Fraction(0), Fraction(0))
+    """Enclosing interval of p over a box (var -> (lo, hi)); exact rational.
+
+    Each term's interval is the exact range of the term over the box, and
+    the sum of the terms' lower (upper) ends is returned."""
+    lo, hi, scale = _interval_sums(p, boxes)
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
+def _interval_sums(p, boxes):
+    """interval_eval(p, boxes) on integers: (lo, hi, scale) with the interval
+    (lo/scale, hi/scale), scale > 0.
+
+    The box is scaled to one denominator D_i per variable and the
+    coefficients to one denominator, and each term is homogenised by
+    D_i^(deg_i - e_i), so every sum is on integers and scale is the lcm of
+    the coefficient denominators times prod D_i^deg_i."""
+    terms = p.terms
+    if not terms:
+        return 0, 0, 1
     names = p.order.names
-    for expt, coeff in p.terms.items():
-        term = (coeff, coeff)
-        for i, e in enumerate(expt):
-            if e:
-                term = _interval_mul(term, _interval_pow(*boxes[names[i]], e))
-        total = (total[0] + term[0], total[1] + term[1])
-    return total
+    den = lcm(*(c.denominator for c in terms.values()))
+    scale = den
+    powers = []  # per variable of p: (position, [range of D^(deg-e) x^e])
+    for i, deg in enumerate(max(col) for col in zip(*terms)):
+        if not deg:
+            continue
+        lo, hi = boxes[names[i]]
+        D = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+        table = [(D ** deg, D ** deg)]
+        for e in range(1, deg + 1):
+            f = D ** (deg - e)
+            r0, r1 = _int_pow_range(a, b, e)
+            table.append((r0 * f, r1 * f))
+        powers.append((i, table))
+        scale *= D ** deg
+    total_lo = total_hi = 0
+    for expt, c in terms.items():
+        c = c.numerator * (den // c.denominator)
+        t0 = t1 = c
+        for i, table in powers:
+            r0, r1 = table[expt[i]]
+            if t0 >= 0 and r0 >= 0:
+                t0, t1 = t0 * r0, t1 * r1
+            else:
+                products = (t0 * r0, t0 * r1, t1 * r0, t1 * r1)
+                t0, t1 = min(products), max(products)
+        total_lo += t0
+        total_hi += t1
+    return total_lo, total_hi, scale
 
 
 _TVAR = "t_"
@@ -683,7 +773,8 @@ def _defining_poly(alpha, var, order):
 
 def sign_at_map(p, coord_map, memo):
     """Exact sign of p at the point given by coord_map (var -> AlgebraicNumber);
-    memo is the resultant memo of the coordinates' SamplePoint."""
+    memo is the resultant memo of the coordinates' SamplePoint.  At an
+    all-rational point this is the sign of one integer sum (_specialise)."""
     rational = {}
     algebraic = []
     for v in sorted(p.variables(), key=p.order.index):
@@ -692,6 +783,10 @@ def sign_at_map(p, coord_map, memo):
             rational[v] = alpha.rational_value()
         else:
             algebraic.append((v, alpha))
+    if not algebraic:
+        index = p.order.index
+        value = _specialise(p, {index(v): q for v, q in rational.items()})[0]
+        return (value > 0) - (value < 0)
     q = p.evaluate(rational) if rational else p
     if q.is_constant():
         c = q.constant_value()
@@ -699,8 +794,7 @@ def sign_at_map(p, coord_map, memo):
     algebraic = [(v, a) for v, a in algebraic if v in q.variables()]
 
     def try_interval():
-        boxes = {v: a.interval() for v, a in algebraic}
-        lo, hi = interval_eval(q, boxes)
+        lo, hi, _ = _interval_sums(q, {v: a.interval() for v, a in algebraic})
         if lo > 0:
             return 1
         if hi < 0:
@@ -767,6 +861,16 @@ def roots_above(p, s, v):
             continue
         cmap[name] = s.coordinate(name)
     rational = {n: a.rational_value() for n, a in cmap.items() if a.is_rational}
+    if len(rational) == len(cmap):
+        # an all-rational prefix: the integer tuple in v straight from p's
+        # terms, a positive multiple of the Fraction specialisation
+        index = p.order.index
+        univ = trim(_specialise(p, {index(n): q for n, q in rational.items()}, index(v)))
+        if not univ:
+            return IDENTICALLY_ZERO
+        if len(univ) == 1:
+            return []
+        return isolate_coeffs(univ)
     q = p.evaluate(rational) if rational else p
     algebraic = [(n, a) for n, a in cmap.items()
                  if not a.is_rational and n in q.variables()]

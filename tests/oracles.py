@@ -260,3 +260,38 @@ def reference_groebner(gens, morder):
         r = reference_normal_form(g, minimal[:i] + minimal[i + 1:], morder)
         reduced.append(r * (1 / _lead(r, morder)[1]))
     return reduced
+
+
+# ---------------------------------------------------------------------------
+# interval evaluation on Fraction boxes, one term and one factor at a time
+
+
+def _interval_pow(lo, hi, e):
+    if e == 1:
+        return lo, hi
+    plo, phi = lo ** e, hi ** e
+    if e % 2 == 1:
+        return plo, phi
+    if lo >= 0:
+        return plo, phi
+    if hi <= 0:
+        return phi, plo
+    return Fraction(0), max(plo, phi)
+
+
+def _interval_mul(a, b):
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(products), max(products)
+
+
+def reference_interval_eval(p, boxes):
+    """Enclosing interval of p over a box (var -> (lo, hi)); exact rational."""
+    total = (Fraction(0), Fraction(0))
+    names = p.order.names
+    for expt, coeff in p.terms.items():
+        term = (coeff, coeff)
+        for i, e in enumerate(expt):
+            if e:
+                term = _interval_mul(term, _interval_pow(*boxes[names[i]], e))
+        total = (total[0] + term[0], total[1] + term[1])
+    return total

@@ -8,7 +8,7 @@ from cadec.formula import Formula, evaluate_at_rationals, parse_formula
 from cadec.bench import (
     bound_eq1, dh_equivalence_sentences, dh_order, dh_target, ec_bound_note,
     formula_stats, generate_dh, l_block, primitivity_report, run_experiment,
-    write_csv, CSV_COLUMNS,
+    run_one, write_csv, CSV_COLUMNS,
 )
 
 
@@ -144,3 +144,18 @@ def test_dh_equivalence_sentences_closed():
     assert s1.prefix[0] == ("forall", "x0")
     assert s1.prefix[2:] == (("forall", "z1"), ("exists", "x1"), ("exists", "y1"))
     assert s2.prefix[2:] == (("exists", "z1"), ("forall", "x1"), ("forall", "y1"))
+
+
+def test_run_one_accepts_short_mode_names():
+    o = VarOrder(["y", "x"])
+    f = parse_formula("x^2 + y^2 - 1 = 0 and x > 0", o)
+    for short, long in (("si", "sign-invariant"), ("ec-res", "ec-reduced-resultant"),
+                        ("ec-gb", "ec-reduced-gb")):
+        rows = [run_one("circle-x", f, mode).csv_row() for mode in (short, long)]
+        time_ms = CSV_COLUMNS.index("time_ms")
+        for row in rows:
+            del row[time_ms]
+        assert rows[0] == rows[1]
+        assert run_one("circle-x", f, short).mode == long
+    with pytest.raises(ValueError):
+        run_one("circle-x", f, "ec")

@@ -126,3 +126,29 @@ def test_resultant_memo_per_tree(monkeypatch):
         assert len(set(calls)) == len(calls)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_sector_samples_clear_rational_neighbours():
+    # x^2 - 2 and x^2 - 3 isolate in closed form to (1, 3/2) and (3/2, 2)
+    # for their positive roots, so the rationals 1, 3/2 and 2 sit on the
+    # endpoints of their irrational neighbours' intervals; 5x^2 - 11 adds an
+    # irrational root at (7/5, 3/2), next to sqrt 2.
+    from cadec.lifting import Cell, lift_stack
+    from cadec.realalg import SamplePoint, compare_rational
+
+    o = VarOrder(["x"])
+    polys = tuple(parse_poly(t, o) for t in
+                  ("x^2 - 2", "x^2 - 3", "5*x^2 - 11", "x - 1", "2*x - 3", "x - 2",
+                   "x + 1", "2*x + 3"))
+    root = Cell((), SamplePoint(o, ()), None)
+    stack = lift_stack(root, polys, False, "x")
+    sections = [c.sample.coords[0] for c in stack if c.is_section()]
+    assert len(sections) == 11 and len(stack) == 23
+    for i, cell in enumerate(stack):
+        if cell.is_section():
+            continue
+        q = cell.sample.coords[0].rational_value()
+        if i > 0:
+            assert compare_rational(stack[i - 1].sample.coords[0], q) < 0
+        if i + 1 < len(stack):
+            assert compare_rational(stack[i + 1].sample.coords[0], q) > 0

@@ -257,3 +257,100 @@ def test_shared_memo_matches_fresh_points(time_budget):
                     checked_zero += expected == 0
     assert checked_zero >= 4
     assert base.memo and all(s.memo is base.memo for s in shared)
+
+
+# ---------------------------------------------------------------------------
+# integer arithmetic at rational points
+
+
+def _random_poly(order, rng, terms=6, max_deg=4):
+    names = order.names
+    out = Polynomial.zero(order)
+    for _ in range(terms):
+        mono = Polynomial.constant(order, Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        for name in names:
+            e = rng.randint(0, max_deg)
+            if e:
+                mono = mono * Polynomial.variable(order, name) ** e
+        out = out + mono
+    return out
+
+
+def _box(rng):
+    """A box endpoint pair below, above, straddling or touching 0."""
+    a = Fraction(rng.randint(1, 50), rng.randint(1, 12))
+    b = a + Fraction(rng.randint(1, 50), rng.randint(1, 12))
+    kind = rng.choice(("below", "above", "straddle", "to0", "from0"))
+    if kind == "below":
+        return -b, -a
+    if kind == "above":
+        return a, b
+    if kind == "straddle":
+        return -a, b
+    return (-a, Fraction(0)) if kind == "to0" else (Fraction(0), a)
+
+
+def test_interval_eval_matches_reference():
+    from cadec.realalg import interval_eval
+    from oracles import reference_interval_eval
+
+    rng = random.Random(41)
+    for nvars in (2, 3, 4):
+        order = VarOrder(["v%d" % i for i in range(nvars)])
+        for _ in range(60):
+            p = _random_poly(order, rng, terms=rng.randint(1, 6), max_deg=5)
+            boxes = {name: _box(rng) for name in order.names}
+            assert interval_eval(p, boxes) == reference_interval_eval(p, boxes)
+    order = VarOrder(["y", "x"])
+    zero = Polynomial.zero(order)
+    assert interval_eval(zero, {}) == reference_interval_eval(zero, {}) == (0, 0)
+    # even and odd powers of one straddling variable, with a constant term
+    p = parse_poly("x^4 - 3/2*x^3 + 2/7*x^2*y - y^2 + 5", order)
+    boxes = {"x": (Fraction(-3, 2), Fraction(2, 3)), "y": (Fraction(-1, 5), Fraction(7, 3))}
+    assert interval_eval(p, boxes) == reference_interval_eval(p, boxes)
+
+
+def _isolation_key(roots):
+    if roots is IDENTICALLY_ZERO:
+        return roots
+    return [(r.coeffs, r.lo, r.hi) for r in roots]
+
+
+def _fraction_route(p, prefix, v):
+    """roots_above at an all-rational prefix, by Fraction specialisation."""
+    q = p.evaluate(prefix)
+    if q.is_zero():
+        return IDENTICALLY_ZERO
+    if v not in q.variables():
+        return []
+    return isolate_real_roots(q)
+
+
+def test_rational_prefix_matches_fraction_route():
+    order = VarOrder(["z", "y", "x"])
+    rng = random.Random(43)
+    big = 10 ** 12
+    for trial in range(150):
+        p = _random_poly(order, rng, terms=rng.randint(1, 5), max_deg=4)
+        if trial % 5 == 0:  # a prefix variable absent from p
+            p = p.evaluate({"z": Fraction(1)})
+        den = big + rng.randint(0, 999) if trial % 3 == 0 else rng.randint(1, 12)
+        prefix = {"z": Fraction(rng.randint(-5 * den, 5 * den), den),
+                  "y": Fraction(rng.randint(-40, 40), rng.randint(1, 12))}
+        s = SamplePoint(order, (prefix["z"], prefix["y"]))
+        got = roots_above(p, s, "x")
+        assert _isolation_key(got) == _isolation_key(_fraction_route(p, prefix, "x"))
+        point = dict(prefix, x=Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+        value = p.eval_rational(point)
+        full = s.extended(point["x"])
+        assert sign_at(p, full) == (value > 0) - (value < 0)
+    # specialisations that vanish identically, or leave a non-zero constant
+    s = SamplePoint(order, (Fraction(7, 5), Fraction(1, 3)))
+    vanishing = parse_poly("(3*y - 1)*(x^2 - 2) + (5*z - 7)*x", order)
+    constant = parse_poly("(3*y - 1)*x + 5*z", order)
+    assert roots_above(vanishing, s, "x") is IDENTICALLY_ZERO
+    assert _fraction_route(vanishing, {"z": Fraction(7, 5), "y": Fraction(1, 3)}, "x") \
+        is IDENTICALLY_ZERO
+    assert roots_above(constant, s, "x") == []
+    assert sign_at(vanishing, s.extended(Fraction(2))) == 0
+    assert sign_at(constant, s.extended(Fraction(-9))) == 1
