@@ -340,11 +340,7 @@ def evaluate_at_point(f, s):
 
     def sign_of(poly):
         if poly not in cache:
-            if poly.is_constant():
-                c = poly.constant_value()
-                cache[poly] = 0 if c == 0 else (1 if c > 0 else -1)
-            else:
-                cache[poly] = sign_at(poly, s)
+            cache[poly] = sign_at(poly, s)
         return cache[poly]
 
     return matrix.evaluate(sign_of)
@@ -362,7 +358,7 @@ def evaluate_at_rationals(f, assignment, order):
     return evaluate_at_point(f, SamplePoint(order, coords))
 
 
-def decide(f, ec_policy="auto", ec_mode="groebner", cell_cap=None):
+def decide(f, ec_policy="auto", ec_mode="groebner"):
     """Decide a closed prenex sentence by truth-invariant CAD.
 
     The variable ordering must list the quantified variables in
@@ -384,7 +380,7 @@ def decide(f, ec_policy="auto", ec_mode="groebner", cell_cap=None):
 
     matrix_formula = Formula(f.matrix, f.order)
     plan = plan_projection(matrix_formula, f.order, ec_policy, ec_mode=ec_mode)
-    tree = build_cad(plan, cell_cap=cell_cap) if cell_cap else build_cad(plan)
+    tree = build_cad(plan)
     truth_assign(tree, matrix_formula)
     return _fold_truth(tree.root, f.prefix, len(f.order))
 

@@ -158,6 +158,20 @@ def _build_stack(base, roots, contributors, polys_in_order, order):
     return cells
 
 
+def _stack_roots(polys, sample, v, where):
+    """The merged roots in v of polys over sample, with each root's
+    contributing polynomial indices (merge_roots).  Nullification of a
+    polynomial raises WellOrientednessError, naming it and `where`."""
+    groups = []
+    for p in polys:
+        rts = roots_above(p, sample, v)
+        if rts is IDENTICALLY_ZERO:
+            raise WellOrientednessError(
+                "lifting polynomial %s vanishes identically %s" % (p, where))
+        groups.append(rts)
+    return merge_roots(groups)
+
+
 def lift_stack(cell, level_polys, ec_at_base_level, v):
     """Stack over `cell` in variable v for level_polys, the level's lifting
     polynomials in a fixed order (build_cad sorts them by str once per level).
@@ -170,15 +184,8 @@ def lift_stack(cell, level_polys, ec_at_base_level, v):
     if ec_at_base_level and cell.kind == "sector":
         sample = base_sample.extended(AlgebraicNumber.from_rational(0))
         return [Cell(cell.index + (1,), sample, "sector", cylinder=True, parent=cell)]
-    groups = []
-    for p in level_polys:
-        rts = roots_above(p, base_sample, v)
-        if rts is IDENTICALLY_ZERO:
-            raise WellOrientednessError(
-                "lifting polynomial %s vanishes identically over cell %r"
-                % (p, cell.index))
-        groups.append(rts)
-    roots, contributors = merge_roots(groups)
+    roots, contributors = _stack_roots(level_polys, base_sample, v,
+                                       "over cell %r" % (cell.index,))
     return _build_stack(cell, roots, contributors, level_polys, cell.sample.order)
 
 
@@ -286,15 +293,8 @@ def locate(tree, point):
             cell = stack[0]
             prefix = prefix.extended(q)
             continue
-        v = tree.order.names[k - 1]
-        groups = []
-        for p in tree.provenance[k]:
-            roots = roots_above(p, prefix, v)
-            if roots is IDENTICALLY_ZERO:
-                raise WellOrientednessError(
-                    "%s vanishes identically at the query prefix" % p)
-            groups.append(roots)
-        merged, _ = merge_roots(groups)
+        merged, _ = _stack_roots(tree.provenance[k], prefix, tree.order.names[k - 1],
+                                 "at the query prefix")
         if 2 * len(merged) + 1 != len(stack):
             raise RealLocateError(
                 "query stack has %d sections but the cell stack has %d"

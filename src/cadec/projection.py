@@ -54,6 +54,18 @@ def _split(ps, v, order):
     return mains, lower
 
 
+def _add_coeffs_and_discriminant(out, p, v):
+    """Add to out p's non-constant coefficients in v and, if p has degree 2
+    or more in v, its discriminant unless that is constant."""
+    for c in p.coeffs_in(v):
+        if not c.is_zero() and not c.is_constant():
+            out.add(_norm(c))
+    if p.degree_in(v) >= 2:
+        d = discriminant(p, v)
+        if not d.is_constant():
+            out.add(_norm(d))
+
+
 def mccallum_project(ps, v):
     """McCallum's full projection of ps with respect to v.
 
@@ -76,13 +88,7 @@ def mccallum_project(ps, v):
         prims.append(prim)
     basis = sorted(squarefree_basis(prims, v), key=str)
     for b in basis:
-        for c in b.coeffs_in(v):
-            if not c.is_zero() and not c.is_constant():
-                out.add(_norm(c))
-        if b.degree_in(v) >= 2:
-            d = discriminant(b, v)
-            if not d.is_constant():
-                out.add(_norm(d))
+        _add_coeffs_and_discriminant(out, b, v)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             try:
@@ -110,13 +116,7 @@ def reduced_project(ec, others, v):
     mains, lower = _split(set(others), v, order)
     out = {_norm(p) for p in lower}
     ec = squarefree_part(ec, v)
-    for c in ec.coeffs_in(v):
-        if not c.is_zero() and not c.is_constant():
-            out.add(_norm(c))
-    if ec.degree_in(v) >= 2:
-        d = discriminant(ec, v)
-        if not d.is_constant():
-            out.add(_norm(d))
+    _add_coeffs_and_discriminant(out, ec, v)
     for g in sorted(mains, key=str):
         if _norm(g) == _norm(ec):
             continue
@@ -126,7 +126,7 @@ def reduced_project(ec, others, v):
     return out
 
 
-def propagate_ecs(ecs, v, mode, normalize=True):
+def propagate_ecs(ecs, v, mode):
     """Candidate ECs in lower variables derived from the ECs at level v.
 
     mode 'resultant': pairwise resultants with respect to v.
@@ -148,7 +148,7 @@ def propagate_ecs(ecs, v, mode, normalize=True):
                 r = resultant(ecs[i], ecs[j], v)
                 if r.is_constant():
                     continue
-                out.add(_candidate_norm(r) if normalize else r)
+                out.add(_candidate_norm(r))
     elif mode == "groebner":
         from .polynomial import VarOrder
         idx = order.index(v)
@@ -160,7 +160,7 @@ def propagate_ecs(ecs, v, mode, normalize=True):
             g = g.restricted(order)
             if g.is_constant():
                 continue
-            out.add(_candidate_norm(g) if normalize else g)
+            out.add(_candidate_norm(g))
     else:
         raise PolynomialError("unknown propagation mode %r" % mode)
     return out
@@ -238,12 +238,6 @@ class ProjectionPlan:
         return json.dumps(data, indent=2)
 
 
-def _tie_break_key(order, v):
-    def key(poly):
-        return (poly.degree_in(v), poly.total_degree(), str(poly))
-    return key
-
-
 def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
                     projection_cap=10_000):
     """Build the per-level projection plan for a formula's polynomials.
@@ -292,7 +286,8 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
         fallback = bool(rejected[k]) and not candidates
         ec = None
         if candidates:
-            ec = min(candidates, key=lambda c: _tie_break_key(order, v)(c.poly))
+            ec = min(candidates, key=lambda c: (
+                c.poly.degree_in(v), c.poly.total_degree(), str(c.poly)))
             mains = set(mains) | {ec.poly}
         # propagate from all primitive ECs known at this level
         if ec_policy == "auto" and len(candidates) >= 2:

@@ -44,8 +44,12 @@ changes, and with it which rational a sector sample is; no root, sign,
 cell count or truth value does.
 
 Signs and roots over an algebraic sample point go through defining
-polynomials built by chains of resultants (_value_defining,
-_candidate_defining).  Each step resultant(d, P, var) is memoised, keyed on
+polynomials built by one chain of resultants, _candidate_defining: the
+candidate polynomial in v whose roots include those of p above the point.
+The defining polynomial of a value q (_value_defining) is the candidate
+polynomial of t - q in a fresh variable t.  t - q is monic in t, so on that
+path no resultant vanishes and the chain's gcd and elimination-order
+fallbacks never run.  Each step resultant(d, P, var) is memoised, keyed on
 exactly those arguments: d, the coordinate's defining polynomial in var
 (after any factor the chain divided out of it), and the chain polynomial P.
 The entry is exact because a resultant depends on its arguments alone, not
@@ -54,6 +58,13 @@ share a defining polynomial share entries.  The memo is a dict on
 SamplePoint that extended() passes on: it lives as long as one tree of
 sample points (a CAD build and its truth assignment), and a SamplePoint
 made anew starts an empty one.
+
+sign_at_map has one refinement loop.  Each round evaluates p's interval
+over the coordinates' boxes (_interval_sums), returns a sign once the
+interval clears 0, and otherwise bisects every coordinate.  Round 4 first
+computes the value's defining polynomial.  If its constant term is 0 the
+value may be 0: from then on each round also refines the polynomial's other
+roots that overlap the interval, and the sign is 0 once none does.
 
 Interval refinement mutates the cached interval but is monotone (intervals
 only shrink), so concurrent readers are safe; the memo only gains entries
@@ -64,6 +75,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import count, permutations
 from math import isqrt, lcm
 
 from .polynomial import (
@@ -740,22 +752,16 @@ def _memo_resultant(memo, d, P, var):
 
 
 def _value_defining(q, alg_coords, memo):
-    """Defining polynomial (coefficient tuple in a fresh variable) of the
-    value q(alpha_1, ..., alpha_k), by iterated resultants.
+    """Defining polynomial (coefficient tuple in a fresh variable t) of the
+    value q(alpha_1, ..., alpha_k): the candidate polynomial in t of t - q.
 
-    The chain never degenerates: the leading coefficient in the fresh
-    variable stays a non-zero rational throughout.
+    t - q is monic in t, so the leading coefficient in t stays a non-zero
+    rational along the chain: no resultant vanishes, and the first
+    elimination order tried, the given one, succeeds.
     """
     order2 = VarOrder(q.order.names + (_TVAR,))
     t = Polynomial.variable(order2, _TVAR)
-    P = t - q.restricted(order2)
-    for var, alpha in alg_coords:
-        if P.degree_in(var) == 0:
-            continue
-        d = _defining_poly(alpha, var, order2)
-        P = _memo_resultant(memo, d, P, var)
-    coeffs = [c.constant_value() for c in P.coeffs_in(_TVAR)]
-    return trim(coeffs)
+    return _candidate_defining(t - q.restricted(order2), _TVAR, alg_coords, memo)
 
 
 def _defining_poly(alpha, var, order):
@@ -792,45 +798,25 @@ def sign_at_map(p, coord_map, memo):
         c = q.constant_value()
         return 0 if c == 0 else (1 if c > 0 else -1)
     algebraic = [(v, a) for v, a in algebraic if v in q.variables()]
-
-    def try_interval():
-        lo, hi, _ = _interval_sums(q, {v: a.interval() for v, a in algebraic})
+    others = None
+    for rounds in count():
+        if rounds == 4:
+            defining = _value_defining(q, algebraic, memo)
+            if defining[0] == 0:
+                others = [r for r in isolate_coeffs(defining)
+                          if not (r.is_rational and r.rational_value() == 0)]
+        lo, hi, scale = _interval_sums(q, {v: a.interval() for v, a in algebraic})
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        return None
-
-    for _ in range(4):
-        s = try_interval()
-        if s is not None:
-            return s
-        for _, a in algebraic:
-            a.refine()
-
-    defining = _value_defining(q, algebraic, memo)
-    if defining[0] != 0:
-        while True:
-            s = try_interval()
-            if s is not None:
-                return s
-            for _, a in algebraic:
-                a.refine()
-    # 0 is a root of the candidate defining polynomial; decide whether the
-    # value is that root or a different one.
-    others = [r for r in isolate_coeffs(defining)
-              if not (r.is_rational and r.rational_value() == 0)]
-    while True:
-        s = try_interval()
-        if s is not None:
-            return s
-        boxes = {v: a.interval() for v, a in algebraic}
-        lo, hi = interval_eval(q, boxes)
-        overlapping = [r for r in others if r.hi > lo and r.lo < hi]
-        if not overlapping:
-            return 0
-        for r in overlapping:
-            r.refine()
+        if others is not None:
+            lo, hi = Fraction(lo, scale), Fraction(hi, scale)
+            overlapping = [r for r in others if r.hi > lo and r.lo < hi]
+            if not overlapping:
+                return 0
+            for r in overlapping:
+                r.refine()
         for _, a in algebraic:
             a.refine()
 
@@ -904,8 +890,6 @@ def _candidate_defining(q, v, algebraic, memo):
     """Univariate candidate polynomial in v whose roots include those of the
     specialization of q; resultant chain with gcd fallback and elimination
     order retry for degenerate (shared-factor) cases."""
-    from itertools import permutations
-
     last_error = None
     for perm in permutations(range(len(algebraic))):
         P = q

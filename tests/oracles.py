@@ -8,7 +8,8 @@ meaningful.
 
 from fractions import Fraction
 
-from cadec.polynomial import Polynomial
+from cadec.polynomial import Polynomial, VarOrder
+from cadec.realalg import _TVAR, _defining_poly, _memo_resultant, trim
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +296,27 @@ def reference_interval_eval(p, boxes):
                 term = _interval_mul(term, _interval_pow(*boxes[names[i]], e))
         total = (total[0] + term[0], total[1] + term[1])
     return total
+
+
+# ---------------------------------------------------------------------------
+# the defining polynomial of a value: the resultant chain that
+# realalg._value_defining runs through _candidate_defining, written out alone
+
+
+def reference_value_defining(q, alg_coords, memo):
+    """Defining polynomial (coefficient tuple in a fresh variable) of the
+    value q(alpha_1, ..., alpha_k), by iterated resultants.
+
+    The chain never degenerates: the leading coefficient in the fresh
+    variable stays a non-zero rational throughout.
+    """
+    order2 = VarOrder(q.order.names + (_TVAR,))
+    t = Polynomial.variable(order2, _TVAR)
+    P = t - q.restricted(order2)
+    for var, alpha in alg_coords:
+        if P.degree_in(var) == 0:
+            continue
+        d = _defining_poly(alpha, var, order2)
+        P = _memo_resultant(memo, d, P, var)
+    coeffs = [c.constant_value() for c in P.coeffs_in(_TVAR)]
+    return trim(coeffs)

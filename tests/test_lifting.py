@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from cadec.polynomial import VarOrder, parse_poly
 from cadec.formula import evaluate_at_rationals, parse_formula
 from cadec.projection import plan_projection
 from cadec.lifting import (
-    WellOrientednessError, build_cad, cell_count, locate, truth_assign,
+    RealLocateError, WellOrientednessError, build_cad, cell_count, locate,
+    truth_assign,
 )
 from cadec.projection import CapExceededError
 
@@ -152,3 +154,20 @@ def test_sector_samples_clear_rational_neighbours():
             assert compare_rational(stack[i - 1].sample.coords[0], q) < 0
         if i + 1 < len(stack):
             assert compare_rational(stack[i + 1].sample.coords[0], q) > 0
+
+
+def test_locate_refuses_a_mismatched_stack():
+    # with no level-2 polynomials the query stack over y = 0 has no section,
+    # while the stored stack there has the circle's two
+    _, _, tree = _tree("x^2 + y^2 - 1 = 0")
+    tree.provenance[2] = ()
+    with pytest.raises(RealLocateError):
+        locate(tree, (Fraction(0), Fraction(0)))
+
+
+def test_locate_refuses_nullification():
+    _, _, tree = _tree("x^2 + y^2 - 1 = 0")
+    nullified = parse_poly("y*x + y", O2)
+    tree.provenance[2] = (nullified,)
+    with pytest.raises(WellOrientednessError, match=re.escape(str(nullified))):
+        locate(tree, (Fraction(0), Fraction(1, 2)))

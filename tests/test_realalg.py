@@ -354,3 +354,74 @@ def test_rational_prefix_matches_fraction_route():
     assert roots_above(constant, s, "x") == []
     assert sign_at(vanishing, s.extended(Fraction(2))) == 0
     assert sign_at(constant, s.extended(Fraction(-9))) == 1
+
+
+# ---------------------------------------------------------------------------
+# defining polynomials of values, and the exits of the sign refinement loop
+
+
+def test_value_defining_matches_reference():
+    from cadec.realalg import _value_defining
+    from oracles import reference_value_defining
+
+    rng = random.Random(47)
+    names = ("z", "y", "x")
+    for trial in range(36):
+        k = trial % 3 + 1
+        order = VarOrder(names[:k])
+        coords = []
+        for name in names[:k]:
+            roots = []
+            while not roots:
+                deg = rng.choice((2, 2, 3))
+                coeffs = tuple(rng.randint(-6, 6) for _ in range(deg))
+                coeffs += (rng.randint(1, 3),)
+                roots = [r for r in isolate_coeffs(coeffs) if not r.is_rational]
+            coords.append((name, rng.choice(roots)))
+        q = _random_poly(order, rng, terms=rng.randint(0, 2), max_deg=2)
+        for name in names[:k]:
+            q = q + rng.choice((-2, -1, 1, 3)) * Polynomial.variable(order, name)
+        got = _value_defining(q, coords, {})
+        assert got == reference_value_defining(q, coords, {})
+        assert len(got) > 1
+
+
+def test_sign_at_two_algebraic_coordinates(monkeypatch, time_budget):
+    import cadec.realalg as realalg
+
+    calls = []  # the defining polynomials sign_at_map asked for
+    real = realalg._value_defining
+
+    def spy(q, alg_coords, memo):
+        calls.append(real(q, alg_coords, memo))
+        return calls[-1]
+
+    monkeypatch.setattr(realalg, "_value_defining", spy)
+
+    big = 10 ** 12
+    sqrt2 = ((-2, 0, 1), 1)
+    neg_sqrt2 = ((-2, 0, 1), 0)
+    near = ((-(2 * big + 1), 0, big), 1)     # sqrt(2 + 10^-12)
+    quartic = ((-4, 0, 0, 0, 1), 1)          # sqrt 2, as a root of x^4 - 4
+    # the near root again, as a root of (x^2 - 2)(big x^2 - 2 big - 1)
+    shared = ((4 * big + 2, 0, -(4 * big + 1), 0, big), 3)
+    cases = [
+        # the value is -3.5e-13: the interval clears 0 only after the
+        # defining polynomial, whose constant term is not 0
+        ("y - x", (sqrt2, near), -1, True),
+        # the value is 0: the zero case
+        ("x*y - 2", (sqrt2, sqrt2), 0, False),
+        ("x + y", (neg_sqrt2, sqrt2), 0, False),
+        ("y - x", (sqrt2, quartic), 0, False),
+        # 0 is a root of the defining polynomial (at x = sqrt 2) but the value
+        # is 7e-13: the zero case refines until the interval clears 0
+        ("x*y - 2", (sqrt2, shared), 1, False),
+    ]
+    for text, coords, sign, constant_nonzero in cases:
+        calls.clear()
+        s = SamplePoint(O2, ())
+        for coeffs, i in coords:
+            s = s.extended(isolate_coeffs(coeffs)[i])
+        assert sign_at(parse_poly(text, O2), s) == sign, text
+        assert len(calls) == 1, text
+        assert (calls[0][0] != 0) == constant_nonzero, text
