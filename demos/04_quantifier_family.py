@@ -3,7 +3,8 @@
 Depth k uses 2 + 3k variables and is equivalent to x0 = f^(2^k)(y0): each
 level of quantifiers squares the number of function applications, which is
 where the doubly-exponential growth comes from.  Run with --decide to
-verify the depth-1 equivalence by actually deciding it (about a minute).
+verify the depth-1 equivalence by actually deciding it (about 10 s on a
+2-vCPU machine).
 """
 
 import sys
@@ -41,4 +42,4 @@ if "--decide" in sys.argv:
     print("  x0 = y0^4 implies instance:", decide(s2))
 else:
     print("\n(rerun with --decide to prove the depth-1 equivalence;"
-          " takes about a minute)")
+          " takes about 10 s)")

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from math import ceil, floor
 
-from .polynomial import Polynomial
+from .polynomial import integer_normalized
 from .projection import CapExceededError, ProjectionPlan
 from .realalg import (
     IDENTICALLY_ZERO,
@@ -142,7 +142,7 @@ def _sector_samples(roots):
     return samples
 
 
-def _build_stack(base, roots, contributors, polys_in_order, order):
+def _build_stack(base, roots, contributors, polys_in_order):
     """The 2r+1 alternating cells over `base` for the given section roots."""
     sectors = _sector_samples(roots)
     cells = []
@@ -186,7 +186,7 @@ def lift_stack(cell, level_polys, ec_at_base_level, v):
         return [Cell(cell.index + (1,), sample, "sector", cylinder=True, parent=cell)]
     roots, contributors = _stack_roots(level_polys, base_sample, v,
                                        "over cell %r" % (cell.index,))
-    return _build_stack(cell, roots, contributors, level_polys, cell.sample.order)
+    return _build_stack(cell, roots, contributors, level_polys)
 
 
 def build_cad(plan, cell_cap=1_000_000):
@@ -194,6 +194,9 @@ def build_cad(plan, cell_cap=1_000_000):
 
     Signs of lifting polynomials are recorded on section cells where they
     vanish; other signs are computed on demand (see cell_sign) and memoized.
+    Every sample point of the tree shares the root's memo, so roots_above
+    isolates each lifting polynomial once per distinct value of the
+    coordinates it reads, and cells over equal values share their roots.
     """
     order = plan.order
     root = Cell((), SamplePoint(order, ()), None)
@@ -222,9 +225,21 @@ def build_cad(plan, cell_cap=1_000_000):
 # signs and truth
 
 
-def cell_sign(cell, poly, order):
-    """Exact sign of poly at the cell's sample, memoized on the ancestor cell
-    at the polynomial's own level (shared by the whole subtree)."""
+def cell_sign(cell, poly, order, forms):
+    """Exact sign of poly at the cell's sample, memoized in the signs of the
+    ancestor cell at the polynomial's own level (shared by the whole
+    subtree).
+
+    Before sign_at runs, the ancestor's signs are searched for poly's
+    integer_normalized form, which a section records as 0 for each lifting
+    polynomial vanishing there.  poly is that form times a rational with
+    the sign of poly's leading coefficient, so its sign is the recorded one
+    times that sign.  forms maps each poly already seen to (form, sign of
+    its leading coefficient); truth_assign passes one dict, so each form is
+    computed once per truth assignment.  Either way the sign is stored
+    under poly itself, so a cell's signs have the same keys whichever way
+    a sign was found.
+    """
     if poly.is_constant():
         c = poly.constant_value()
         return 0 if c == 0 else (1 if c > 0 else -1)
@@ -233,17 +248,27 @@ def cell_sign(cell, poly, order):
     target = cell
     while target.level > level:
         target = target.parent
-    if poly not in target.signs:
-        target.signs[poly] = sign_at(poly, target.sample)
-    return target.signs[poly]
+    signs = target.signs
+    sign = signs.get(poly)
+    if sign is None:
+        form = forms.get(poly)
+        if form is None:
+            form = forms[poly] = (integer_normalized(poly),
+                                  1 if poly.leading_term()[1] > 0 else -1)
+        canonical, lead = form
+        sign = signs.get(canonical)
+        sign = sign_at(poly, target.sample) if sign is None else sign * lead
+        signs[poly] = sign
+    return sign
 
 
 def truth_assign(tree, f):
     """Assign the truth of a quantifier-free formula to every top cell."""
     matrix = f.matrix if hasattr(f, "matrix") else f
     order = tree.order
+    forms = {}
     for leaf in tree.leaves():
-        leaf.truth = matrix.evaluate(lambda p, c=leaf: cell_sign(c, p, order))
+        leaf.truth = matrix.evaluate(lambda p, c=leaf: cell_sign(c, p, order, forms))
     return tree
 
 

@@ -59,6 +59,19 @@ SamplePoint that extended() passes on: it lives as long as one tree of
 sample points (a CAD build and its truth assignment), and a SamplePoint
 made anew starts an empty one.
 
+The same memo holds the root lists of roots_above(p, s, v), keyed on p, v
+and the coordinates of p's other variables, sorted by name: a rational one
+by its value, as its defining tuple (-n, d) (equal tuples are equal values,
+and a tuple of ints hashes far faster than a Fraction), an irrational one as
+the AlgebraicNumber object itself, which hashes by identity (the key holds a
+reference, so its id is not reused).  roots_above reads nothing else of s, so
+an equal key means an equal answer: a lifting polynomial y1 - y0 is isolated
+once per distinct y0, not once per cell above it.  A roots key's second entry
+is a variable name and a resultant key's a polynomial, so the two kinds
+never collide.  The roots handed back are shared, and whoever refines one
+refines it for all; that only shrinks its interval, so at most a sector
+sample's rational depends on it (see above).
+
 sign_at_map has one refinement loop.  Each round evaluates p's interval
 over the coordinates' boxes (_interval_sums), returns a sign once the
 interval clears 0, and otherwise bisects every coordinate.  Round 4 first
@@ -599,8 +612,10 @@ class SamplePoint:
     """Ordered coordinates (one AlgebraicNumber per variable) up to a level.
 
     memo maps (d, P, var) to resultant(d, P, var) for the resultant chains
-    of sign_at and roots_above.  A new SamplePoint starts an empty memo and
-    extended() passes it on, so every point lifted from one root shares it.
+    of sign_at and roots_above, and (p, v, coordinates p reads) to the
+    roots roots_above returned; both are exact (module docstring).  A new
+    SamplePoint starts an empty memo and extended() passes it on, so every
+    point lifted from one root shares it.
     """
 
     __slots__ = ("order", "coords", "memo")
@@ -837,15 +852,24 @@ def roots_above(p, s, v):
     """Distinct real roots in v of p specialized at the sample point s.
 
     Returns a sorted list of AlgebraicNumber, or IDENTICALLY_ZERO when the
-    specialization vanishes identically (nullification).
+    specialization vanishes identically (nullification).  The result is
+    kept in s.memo and handed back whenever p, v and the coordinates p reads
+    recur in the same tree (see the module docstring); callers must not
+    mutate the list.
     """
     if p.is_zero():
         return IDENTICALLY_ZERO
-    cmap = {}
-    for name in p.variables():
-        if name == v:
-            continue
-        cmap[name] = s.coordinate(name)
+    cmap = {name: s.coordinate(name) for name in sorted(p.variables()) if name != v}
+    key = (p, v, tuple(a.coeffs if a.is_rational else a for a in cmap.values()))
+    roots = s.memo.get(key)
+    if roots is None:
+        roots = s.memo[key] = _isolate_above(p, cmap, v, s.memo)
+    return roots
+
+
+def _isolate_above(p, cmap, v, memo):
+    """roots_above(p, s, v) computed afresh; cmap maps p's variables other
+    than v to s's coordinates, memo is s.memo."""
     rational = {n: a.rational_value() for n, a in cmap.items() if a.is_rational}
     if len(rational) == len(cmap):
         # an all-rational prefix: the integer tuple in v straight from p's
@@ -865,7 +889,7 @@ def roots_above(p, s, v):
     coeffs = q.coeffs_in(v)
     coeff_signs = [
         c.constant_value() != 0 if c.is_constant()
-        else sign_at_map(c, dict(cmap), s.memo) != 0
+        else sign_at_map(c, dict(cmap), memo) != 0
         for c in coeffs]
     if not any(coeff_signs):
         return IDENTICALLY_ZERO
@@ -876,12 +900,12 @@ def roots_above(p, s, v):
         univ = [c.constant_value() for c in coeffs]
         return isolate_coeffs(trim(univ))
 
-    candidates = _candidate_defining(q, v, algebraic, s.memo)
+    candidates = _candidate_defining(q, v, algebraic, memo)
     roots = []
     for rho in isolate_coeffs(candidates):
         full = dict(cmap)
         full[v] = rho
-        if sign_at_map(p, full, s.memo) == 0:
+        if sign_at_map(p, full, memo) == 0:
             roots.append(rho)
     return roots
 

@@ -320,3 +320,31 @@ def reference_value_defining(q, alg_coords, memo):
         P = _memo_resultant(memo, d, P, var)
     coeffs = [c.constant_value() for c in P.coeffs_in(_TVAR)]
     return trim(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# truth assignment with every sign from sign_at: lifting.truth_assign
+# without the lookup of recorded canonical forms
+
+
+def reference_truth_assign(tree, f):
+    """Assign the truth of f to every top cell of tree.  Each sign is
+    sign_at at the sample of the ancestor cell at the polynomial's level,
+    memoised under the polynomial in that cell's signs."""
+    from cadec.realalg import sign_at
+
+    def sign_of(cell, poly):
+        if poly.is_constant():
+            c = poly.constant_value()
+            return (c > 0) - (c < 0)
+        target = cell
+        while target.level > tree.order.level(poly.main_variable()):
+            target = target.parent
+        if poly not in target.signs:
+            target.signs[poly] = sign_at(poly, target.sample)
+        return target.signs[poly]
+
+    matrix = f.matrix if hasattr(f, "matrix") else f
+    for leaf in tree.leaves():
+        leaf.truth = matrix.evaluate(lambda p, c=leaf: sign_of(c, p))
+    return tree

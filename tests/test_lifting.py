@@ -8,8 +8,8 @@ from cadec.polynomial import VarOrder, parse_poly
 from cadec.formula import evaluate_at_rationals, parse_formula
 from cadec.projection import plan_projection
 from cadec.lifting import (
-    RealLocateError, WellOrientednessError, build_cad, cell_count, locate,
-    truth_assign,
+    RealLocateError, WellOrientednessError, build_cad, cell_count, cell_sign,
+    locate, truth_assign,
 )
 from cadec.projection import CapExceededError
 
@@ -171,3 +171,90 @@ def test_locate_refuses_nullification():
     tree.provenance[2] = (nullified,)
     with pytest.raises(WellOrientednessError, match=re.escape(str(nullified))):
         locate(tree, (Fraction(0), Fraction(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# truth signs from the zeros recorded under canonical forms
+
+
+def test_cell_sign_reads_recorded_canonical_zero(monkeypatch):
+    # build_cad records x - y as 0 on the level-2 sections above every y,
+    # among them y = +-sqrt(1/2), where it meets the circle; there the atoms
+    # below are 0 without a sign_at call
+    import cadec.lifting as lifting
+    f = parse_formula("x - y = 0 and x^2 + y^2 - 1 < 0", O2)
+    tree = build_cad(plan_projection(f, O2, "none"))
+    canonical = parse_poly("x - y", O2)
+    sections = [c for c in tree.leaves() if c.signs.get(canonical) == 0]
+    assert all(c.is_section() for c in sections)
+    assert any(not c.sample.coords[0].is_rational for c in sections)
+
+    def refuse(p, s):
+        raise AssertionError("sign_at(%s) called" % p)
+
+    monkeypatch.setattr(lifting, "sign_at", refuse)
+    atoms = [parse_poly(t, O2) for t in ("-x + y", "2*x - 2*y", "-(1/3)*x + (1/3)*y")]
+    forms = {}
+    for cell in sections:
+        for atom in atoms:
+            assert cell_sign(cell, atom, O2, forms) == 0
+            assert cell.signs[atom] == 0
+    assert set(forms) == set(atoms)
+
+
+def test_cell_sign_at_sectors_matches_rational_evaluation(monkeypatch):
+    # at a sector nothing is recorded: each canonical form calls sign_at, and
+    # its multiples read the sign stored under it
+    import cadec.lifting as lifting
+    f = parse_formula("x - y = 0 and x^2 + y^2 - 1 < 0", O2)
+    tree = build_cad(plan_projection(f, O2, "none"))
+    real = lifting.sign_at
+    calls = []
+
+    def counting(p, s):
+        calls.append(p)
+        return real(p, s)
+
+    monkeypatch.setattr(lifting, "sign_at", counting)
+    texts = ("x - y", "-x + y", "2*x - 2*y", "-(1/3)*x + (1/3)*y", "x^2 + y^2 - 1",
+             "-x^2 - y^2 + 1")
+    atoms = [parse_poly(t, O2) for t in texts]
+    forms = {}
+    sectors = [c for c in tree.leaves() if not c.is_section()
+               and all(a.is_rational for a in c.sample.coords)]
+    assert len(sectors) > 10
+    for cell in sectors:
+        point = {"y": cell.sample.coords[0].rational_value(),
+                 "x": cell.sample.coords[1].rational_value()}
+        before = len(calls)
+        for text, atom in zip(texts, atoms):
+            expected = 0
+            for rel, sign in ((">", 1), ("<", -1)):
+                if evaluate_at_rationals(parse_formula("%s %s 0" % (text, rel), O2), point, O2):
+                    expected = sign
+            assert cell_sign(cell, atom, O2, forms) == expected, (text, point)
+        assert calls[before:] == [atoms[0], atoms[4]]
+
+
+def _signs_and_truths(tree):
+    import json
+    out = {}
+    stack = [json.loads(tree.to_json())["root"]]
+    while stack:
+        entry = stack.pop()
+        out[tuple(entry["index"])] = (entry.get("signs"), entry.get("truth"))
+        stack.extend(entry.get("stack", ()))
+    return out
+
+
+def test_truth_assign_keeps_json_signs():
+    # the lookup stores each sign under the atom, as sign_at alone did
+    from oracles import reference_truth_assign
+    order = VarOrder(["z", "y", "x"])
+    f = parse_formula("-x + y <= 0 and x^2 + y^2 + z^2 - 1 < 0 or 2*z - 2*x > 0 "
+                      "and -(1/2)*x^2 - (1/2)*y^2 - (1/2)*z^2 + 1/2 >= 0", order)
+    plan = plan_projection(f, order, "none")
+    got, expected = build_cad(plan), build_cad(plan)
+    truth_assign(got, f)
+    reference_truth_assign(expected, f)
+    assert _signs_and_truths(got) == _signs_and_truths(expected)

@@ -425,3 +425,100 @@ def test_sign_at_two_algebraic_coordinates(monkeypatch, time_budget):
         assert sign_at(parse_poly(text, O2), s) == sign, text
         assert len(calls) == 1, text
         assert (calls[0][0] != 0) == constant_nonzero, text
+
+
+# ---------------------------------------------------------------------------
+# the roots memo: one isolation per polynomial and the coordinates it reads
+
+
+def _same_roots(got, fresh):
+    if got is IDENTICALLY_ZERO or fresh is IDENTICALLY_ZERO:
+        return got is fresh
+    return len(got) == len(fresh) and all(compare(g, f) == 0 for g, f in zip(got, fresh))
+
+
+def test_roots_memo_matches_fresh_isolation(time_budget):
+    # Points over a pool of rational and irrational coordinates share one
+    # memo; each answer must be the roots a fresh point (own memo, own copy
+    # of every coordinate) isolates.  Polynomials that do not read z reuse
+    # the answer of another z: the same list object.
+    order = VarOrder(["z", "y", "x"])
+    pool = [Fraction(0), Fraction(1, 2), Fraction(-3)]
+    irrational = [((-2, 0, 1), 1), ((-2, 0, 1), 0), ((-1, -1, 1), 1)]
+
+    def coordinate(c):
+        return AlgebraicNumber.from_rational(c) if isinstance(c, Fraction) \
+            else isolate_coeffs(c[0])[c[1]]
+
+    choices = pool + irrational
+    base = SamplePoint(order, ())
+    zs = {i: coordinate(c) for i, c in enumerate(choices)}
+    ys = {i: coordinate(c) for i, c in enumerate(choices)}
+    rng = random.Random(83)
+    polys = []
+    while len(polys) < 12:
+        p = _random_poly(order, rng, terms=4, max_deg=2)
+        if len(polys) % 2:  # every other polynomial reads no z
+            p = p.evaluate({"z": Fraction(rng.randint(-2, 2))})
+        if p.degree_in("x"):
+            polys.append(p)
+    assert any("z" not in p.variables() and "y" in p.variables() for p in polys)
+    reused = 0
+    for p in polys:
+        seen = {}
+        for zi, yi in [(rng.randrange(len(choices)), rng.randrange(len(choices)))
+                       for _ in range(8)]:
+            s = base.extended(zs[zi]).extended(ys[yi])
+            got = roots_above(p, s, "x")
+            fresh_point = SamplePoint(order, (coordinate(choices[zi]), coordinate(choices[yi])))
+            assert _same_roots(got, roots_above(p, fresh_point, "x")), (str(p), zi, yi)
+            read = tuple(i for name, i in (("z", zi), ("y", yi)) if name in p.variables())
+            if read in seen:
+                assert got is seen[read]
+                reused += 1
+            seen[read] = got
+    assert reused
+
+
+def test_roots_memo_keys_rationals_by_value(monkeypatch):
+    import cadec.realalg as realalg
+    calls = []
+    real = realalg.isolate_coeffs
+
+    def spy(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(realalg, "isolate_coeffs", spy)
+    p = parse_poly("x^2 + y^2 - 1", O2)
+    base = SamplePoint(O2, ())
+    first = base.extended(AlgebraicNumber.from_rational(Fraction(1, 2)))
+    second = base.extended(AlgebraicNumber.from_rational(Fraction(2, 4)))
+    assert first.coords[0] is not second.coords[0]
+    roots = roots_above(p, first, "x")
+    assert len(roots) == 2 and len(calls) == 1
+    assert roots_above(p, second, "x") is roots
+    assert len(calls) == 1
+
+
+def test_roots_memo_keys_irrationals_by_identity(monkeypatch):
+    import cadec.realalg as realalg
+    calls = []
+    real = realalg.isolate_coeffs
+
+    def spy(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+
+    p = parse_poly("x^2 + y^2 - 1", O2)
+    base = SamplePoint(O2, ())
+    half = [isolate_coeffs((-1, 0, 2))[1] for _ in range(2)]  # sqrt(1/2) twice
+    monkeypatch.setattr(realalg, "isolate_coeffs", spy)
+    first = roots_above(p, base.extended(half[0]), "x")
+    done = len(calls)
+    assert done
+    assert roots_above(p, base.extended(half[0]), "x") is first
+    assert len(calls) == done
+    second = roots_above(p, base.extended(half[1]), "x")
+    assert len(calls) > done
+    assert second is not first and _same_roots(first, second)
