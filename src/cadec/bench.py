@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import csv
 import time
-from fractions import Fraction
 
 from .polynomial import Polynomial, VarOrder, integer_normalized, content_primitive
-from .formula import And, Atom, Formula, Not, Or, identify_ecs, flatten_conjuncts
+from .formula import And, Atom, Formula, Not, Or, flatten_conjuncts
 from .projection import CapExceededError, plan_projection
 from .lifting import WellOrientednessError, build_cad, cell_count, truth_assign
 
@@ -201,7 +200,7 @@ _MODE_FROM_SHORT = {v: k for k, v in _MODE_SHORT.items()}
 class BoundReport:
     """Observed counts and bound terms for one formula under one mode."""
 
-    __slots__ = ("id", "mode", "n", "m", "d", "ell", "r", "eq1_value",
+    __slots__ = ("id", "mode", "n", "m", "d", "ell", "eq1_value",
                  "ec_note", "observed", "D_obs", "M_obs", "time_ms",
                  "status", "within_eq1")
 

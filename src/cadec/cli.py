@@ -17,7 +17,7 @@ import os
 import sys
 
 from .polynomial import ParseError, PolynomialError, VarOrder, parse_poly, poly_to_str
-from .formula import Formula, decide, parse_formula
+from .formula import decide, parse_formula
 from .projection import CapExceededError, PrimitivityError, plan_projection
 from .lifting import WellOrientednessError, build_cad, cell_count, truth_assign
 from . import bench

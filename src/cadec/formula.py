@@ -7,18 +7,14 @@ Grammar: atoms `<poly> (=|!=|<|<=|>|>=) <poly>`; connectives `and`, `or`,
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polynomial import (
     ParseError,
-    Polynomial,
     TokenStream,
-    VarOrder,
     integer_normalized,
     parse_poly_tokens,
     tokenize,
 )
-from .realalg import SamplePoint, sign_at
+from .realalg import AlgebraicNumber, SamplePoint, sign_at
 
 RELATIONS = ("=", "!=", "<", "<=", ">", ">=")
 
@@ -178,9 +174,6 @@ class Formula:
         self.prefix = prefix
         self.matrix = matrix
         self.order = order
-
-    def is_quantifier_free(self):
-        return not self.prefix
 
     def bound_variables(self):
         return {v for _, v in self.prefix}
@@ -348,7 +341,6 @@ def evaluate_at_point(f, s):
 
 def evaluate_at_rationals(f, assignment, order):
     """Truth of a quantifier-free formula at an all-rational point."""
-    from .realalg import AlgebraicNumber
     coords = [AlgebraicNumber.from_rational(assignment[name]) for name in order.names
               if name in assignment]
     missing = [n for n in (f.matrix if isinstance(f, Formula) else f).variables()

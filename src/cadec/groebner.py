@@ -35,7 +35,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import itemgetter, le
 
-from .polynomial import Polynomial, PolynomialError, VarOrder
+from .polynomial import Polynomial, PolynomialError
 
 
 class GroebnerError(PolynomialError):

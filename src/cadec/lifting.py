@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .polynomial import integer_normalized
-from .projection import CapExceededError, ProjectionPlan
+from .projection import CapExceededError
 from .realalg import (
     IDENTICALLY_ZERO,
     AlgebraicNumber,
@@ -234,28 +234,26 @@ def cell_sign(cell, poly, order, forms):
     integer_normalized form, which a section records as 0 for each lifting
     polynomial vanishing there.  poly is that form times a rational with
     the sign of poly's leading coefficient, so its sign is the recorded one
-    times that sign.  forms maps each poly already seen to (form, sign of
-    its leading coefficient); truth_assign passes one dict, so each form is
-    computed once per truth assignment.  Either way the sign is stored
-    under poly itself, so a cell's signs have the same keys whichever way
-    a sign was found.
+    times that sign.  forms maps each poly already seen to (its level, its
+    form, the sign of its leading coefficient); truth_assign passes one
+    dict, so each is computed once per truth assignment.  Either way the
+    sign is stored under poly itself, so a cell's signs have the same keys
+    whichever way a sign was found.
     """
     if poly.is_constant():
         c = poly.constant_value()
         return 0 if c == 0 else (1 if c > 0 else -1)
-    mv = poly.main_variable()
-    level = order.level(mv)
+    form = forms.get(poly)
+    if form is None:
+        form = forms[poly] = (order.level(poly.main_variable()), integer_normalized(poly),
+                              1 if poly.leading_term()[1] > 0 else -1)
+    level, canonical, lead = form
     target = cell
     while target.level > level:
         target = target.parent
     signs = target.signs
     sign = signs.get(poly)
     if sign is None:
-        form = forms.get(poly)
-        if form is None:
-            form = forms[poly] = (integer_normalized(poly),
-                                  1 if poly.leading_term()[1] > 0 else -1)
-        canonical, lead = form
         sign = signs.get(canonical)
         sign = sign_at(poly, target.sample) if sign is None else sign * lead
         signs[poly] = sign

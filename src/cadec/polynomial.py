@@ -284,16 +284,6 @@ class Polynomial:
             buckets[expt[i]][stripped] = coeff
         return [Polynomial(self.order, b, _clean=True) for b in buckets]
 
-    @classmethod
-    def from_coeffs_in(cls, order, v, coeffs):
-        i = order.index(v)
-        terms = {}
-        for power, c in enumerate(coeffs):
-            for expt, coeff in c.terms.items():
-                e = expt[:i] + (expt[i] + power,) + expt[i + 1:]
-                terms[e] = terms.get(e, Fraction(0)) + coeff
-        return cls(order, terms)
-
     def leading_coeff_in(self, v):
         return self.coeffs_in(v)[-1]
 
@@ -844,18 +834,14 @@ def resultant(p, q, v):
         if b.is_zero():
             return Polynomial.zero(order)
         g = a.leading_coeff_in(v)
-        if delta == 0:
-            h = h  # h unchanged when delta = 0
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
+        elif delta > 1:
             h = exact_div(g ** delta, h ** (delta - 1))
         if b.degree_in(v) == 0:
             da = a.degree_in(v)
             lc_b = b.leading_coeff_in(v)
-            if da == 0:
-                res_pp = lc_b  # should not occur: a had degree >= 1
-            elif da == 1:
+            if da == 1:
                 res_pp = lc_b
             else:
                 res_pp = exact_div(lc_b ** da, h ** (da - 1))

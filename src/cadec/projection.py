@@ -7,8 +7,8 @@ import json
 
 from .polynomial import (
     DegenerateResultantError,
-    Polynomial,
     PolynomialError,
+    VarOrder,
     content_primitive,
     discriminant,
     integer_normalized,
@@ -150,7 +150,6 @@ def propagate_ecs(ecs, v, mode):
                     continue
                 out.add(_candidate_norm(r))
     elif mode == "groebner":
-        from .polynomial import VarOrder
         idx = order.index(v)
         sub = VarOrder(order.names[:idx + 1])
         gens = [p.restricted(sub) for p in ecs]

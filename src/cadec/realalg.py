@@ -46,13 +46,13 @@ cell count or truth value does.
 Signs and roots over an algebraic sample point go through defining
 polynomials built by one chain of resultants, _candidate_defining: the
 candidate polynomial in v whose roots include those of p above the point.
-The defining polynomial of a value q (_value_defining) is the candidate
-polynomial of t - q in a fresh variable t.  t - q is monic in t, so on that
-path no resultant vanishes and the chain's gcd and elimination-order
-fallbacks never run.  Each step resultant(d, P, var) is memoised, keyed on
-exactly those arguments: d, the coordinate's defining polynomial in var
-(after any factor the chain divided out of it), and the chain polynomial P.
-The entry is exact because a resultant depends on its arguments alone, not
+It eliminates the algebraic coordinates once, in the variable order; where
+a step's resultant vanishes, it divides out the shared factor and repeats
+the step.  The defining polynomial of a value q (_value_defining) is the
+candidate polynomial of t - q in a fresh variable t.  Each step
+resultant(d, P, var) is memoised, keyed on exactly those arguments: d, the
+coordinate's defining polynomial in var (after any factor the chain divided
+out of it), and the chain polynomial P.  The entry is exact because a resultant depends on its arguments alone, not
 on which root of d the coordinate is or on its interval, so roots that
 share a defining polynomial share entries.  The memo is a dict on
 SamplePoint that extended() passes on: it lives as long as one tree of
@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import count, permutations
+from itertools import count
 from math import isqrt, lcm
 
 from .polynomial import (
@@ -650,9 +650,6 @@ class SamplePoint:
         point.memo = self.memo
         return point
 
-    def coord_map(self):
-        return {self.order.names[i]: c for i, c in enumerate(self.coords)}
-
     def __repr__(self):
         return "SamplePoint(%s)" % ", ".join(
             "%s=%s" % (n, c) for n, c in zip(self.order.names, self.coords))
@@ -771,8 +768,8 @@ def _value_defining(q, alg_coords, memo):
     value q(alpha_1, ..., alpha_k): the candidate polynomial in t of t - q.
 
     t - q is monic in t, so the leading coefficient in t stays a non-zero
-    rational along the chain: no resultant vanishes, and the first
-    elimination order tried, the given one, succeeds.
+    rational along the chain: no resultant vanishes, and the chain divides
+    nothing out.
     """
     order2 = VarOrder(q.order.names + (_TVAR,))
     t = Polynomial.variable(order2, _TVAR)
@@ -911,45 +908,50 @@ def _isolate_above(p, cmap, v, memo):
 
 
 def _candidate_defining(q, v, algebraic, memo):
-    """Univariate candidate polynomial in v whose roots include those of the
-    specialization of q; resultant chain with gcd fallback and elimination
-    order retry for degenerate (shared-factor) cases."""
-    last_error = None
-    for perm in permutations(range(len(algebraic))):
-        P = q
-        ok = True
-        for k in perm:
-            var, alpha = algebraic[k]
-            if P.degree_in(var) == 0:
-                continue
-            d = _defining_poly(alpha, var, q.order)
-            while True:
-                if P.degree_in(var) == 0:
-                    break
-                R = _memo_resultant(memo, d, P, var)
-                if not R.is_zero():
-                    P = R
-                    break
-                g = poly_gcd(d, P)
-                gcoeffs = tuple(c.constant_value() for c in g.coeffs_in(var))
-                if algebraic_is_root(alpha, gcoeffs):
-                    # P vanishes identically at alpha: this elimination order
-                    # lost the information; try another order.
-                    ok = False
-                    break
-                d = exact_div(d, g)
-                if d.degree_in(var) == 0:
-                    ok = False
-                    break
-            if not ok:
+    """Univariate candidate polynomial in v whose roots include those of q at
+    the point: one chain of resultants over the algebraic coordinates
+    (var, alpha), in the given order.
+
+    A step takes P to resultant(d, P, var), d alpha's defining polynomial in
+    var.  If that resultant is 0, d and P share the factor g = gcd(d, P) in
+    var.  If alpha is not a root of g, d becomes d / g, which keeps alpha
+    as a root.  If alpha is a root of g, P becomes P / g, and the step
+    repeats.  Why P / g is exact: let F be q with the coordinates before
+    var put in (its other variables kept).  P times some polynomial in var
+    that does not vanish at alpha is F times a polynomial, because:
+
+    - q is F for the first coordinate.  A resultant that is not 0 is, up to
+      a constant, the product of P over the roots of d; alpha is one of
+      them, so the resultant passes the property on to the next coordinate.
+    - F is not divisible by (var - alpha): otherwise q would vanish
+      identically at the point, and _isolate_above returns IDENTICALLY_ZERO
+      before the chain runs (in _value_defining, t - q is monic in t).
+    - So when alpha is a root of g, (var - alpha) divides the other factor.
+      g is squarefree, as d is, so g / (var - alpha) does not vanish at
+      alpha, and P / g keeps the property.  If P / g still vanishes
+      identically at alpha, the next round divides again.
+    - Each division lowers the degree of d or of P in var, so the loop ends.
+
+    At the end F is q at the point, of degree at least 1 in v, so the
+    candidate has q's roots and is not constant.
+    """
+    P = q
+    for var, alpha in algebraic:
+        if P.degree_in(var) == 0:
+            continue
+        d = _defining_poly(alpha, var, q.order)
+        while P.degree_in(var):
+            R = _memo_resultant(memo, d, P, var)
+            if not R.is_zero():
+                P = R
                 break
-        if ok and not P.is_zero():
-            coeffs = [c.constant_value() for c in P.coeffs_in(v)]
-            coeffs = trim(coeffs)
-            if len(coeffs) > 1:
-                return coeffs
-            last_error = "candidate polynomial degenerated to a constant"
-        else:
-            last_error = "resultant chain vanished for every elimination order"
-    raise RealAlgebraError(
-        "could not build a candidate defining polynomial: %s" % last_error)
+            g = poly_gcd(d, P)
+            if algebraic_is_root(alpha, tuple(c.constant_value() for c in g.coeffs_in(var))):
+                P = exact_div(P, g)
+            else:
+                d = exact_div(d, g)
+    coeffs = trim([c.constant_value() for c in P.coeffs_in(v)])
+    if len(coeffs) < 2:
+        raise RealAlgebraError(
+            "could not build a candidate defining polynomial: the chain ended in a constant")
+    return coeffs

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cadec.polynomial import Polynomial, VarOrder, parse_poly
-from cadec.formula import Formula, evaluate_at_rationals, parse_formula
+from cadec.formula import Formula, decide, evaluate_at_rationals, parse_formula
 from cadec.bench import (
     bound_eq1, dh_equivalence_sentences, dh_order, dh_target, ec_bound_note,
     formula_stats, generate_dh, l_block, primitivity_report, run_experiment,
@@ -114,6 +114,29 @@ def test_run_experiment_failure_rows():
     corpusb = [("capped", parse_formula("x^2 + y^2 - 1 = 0", o))]
     reports = run_experiment(corpusb, modes=("si",), cell_cap=3)
     assert reports[0].status == "cap-exceeded"
+
+
+# The lifting polynomial (x + y)*(z + 1) has content x + y.  Under si it
+# vanishes identically over the sector cell x < -sqrt 2, y = -x.  Under the
+# EC modes only the sections x = y = +-sqrt 2 are lifted; there the
+# resultant chain of (x + y)*(z + 1) vanishes under both elimination orders
+# until it divides out the factor y^2 - 2.
+EC_CONTENT = "y - x = 0 and x^2 - 2 = 0 and (x + y)*(z + 1) > 0"
+
+
+def test_run_one_ec_modes_lift_through_vanishing_chain(time_budget):
+    f = parse_formula(EC_CONTENT, VarOrder(["x", "y", "z"]))
+    assert run_one("ec-content", f, "si").status == "well-orientedness-error"
+    for mode in ("ec-res", "ec-gb"):
+        report = run_one("ec-content", f, mode)
+        assert report.status == "ok", mode
+        assert report.observed["per_level"] == [5, 9, 13]
+
+
+def test_decide_ec_content_closures(time_budget):
+    order = VarOrder(["x", "y", "z"])
+    assert decide(parse_formula("exists x. exists y. exists z. " + EC_CONTENT, order))
+    assert not decide(parse_formula("exists x. exists y. forall z. " + EC_CONTENT, order))
 
 
 def test_primitivity_report_product_form():

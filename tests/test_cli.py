@@ -55,6 +55,17 @@ def test_well_orientedness_exit_code(capsys):
     assert code == 3
 
 
+def test_nullification_after_vanishing_chain_exit_code(capsys):
+    # over y = +-sqrt 2 the chain of (x + y)*(z + 1) vanishes under both
+    # elimination orders; the polynomial then vanishes identically over the
+    # cell x = -y, a documented refusal rather than an internal error
+    code, _, err = run(["cad", "count", "--formula",
+                        "y^2 - 2 = 0 and (x + y)*(z + 1) > 0",
+                        "--order", "x,y,z", "--mode", "ec-res"], capsys)
+    assert code == 3
+    assert "vanishes identically" in err
+
+
 def test_bench_bound(capsys):
     code, out, _ = run(["bench", "bound", "--n", "3", "--m", "1", "--d", "3"],
                        capsys)

@@ -522,3 +522,83 @@ def test_roots_memo_keys_irrationals_by_identity(monkeypatch):
     second = roots_above(p, base.extended(half[1]), "x")
     assert len(calls) > done
     assert second is not first and _same_roots(first, second)
+
+
+# ---------------------------------------------------------------------------
+# one elimination order: the chain divides out the factor it vanishes through
+
+
+def test_chain_divides_out_the_vanishing_factor(time_budget):
+    # At x = sqrt 2, y = -sqrt 2, both roots of t^2 - 2, the resultant of
+    # (x - y)*f in x carries the factor y^2 - 2, and in y the factor x^2 - 2:
+    # the chain vanishes under either elimination order until it divides
+    # that factor out of P.  f's coefficients in z are combinations of 1,
+    # x^2, y^2, x*y and x^2*y^2, so at the point f is the rational u(z).
+    order = VarOrder(["x", "y", "z"])
+    x, y, z = (Polynomial.variable(order, n) for n in order.names)
+    monomials = [(Polynomial.constant(order, 1), 1), (x ** 2, 2), (y ** 2, 2),
+                 (x * y, -2), (x ** 2 * y ** 2, 4)]
+    sqrt2 = isolate_coeffs((-2, 0, 1))
+    s = SamplePoint(order, (sqrt2[1], sqrt2[0]))
+    signed = [(z - x * y, [2, 1]), (x ** 2 * z ** 2 - 5, [-5, 0, 2])]
+    rng = random.Random(97)
+    checked = 0
+    for _ in range(40):
+        f, u = Polynomial.zero(order), []
+        for k in range(rng.randint(2, 3)):
+            c = Polynomial.zero(order)
+            value = 0
+            for m, image in monomials:
+                r = rng.randint(-3, 3)
+                c = c + r * m
+                value += r * image
+            f = f + c * z ** k
+            u.append(value)
+        while u and u[-1] == 0:
+            u.pop()
+        roots = roots_above((x - y) * f, s, "z")
+        if not u:
+            assert roots is IDENTICALLY_ZERO
+            continue
+        _check_isolation(u, roots)
+        checked += len(u) > 1
+        for rho in roots:
+            point = s.extended(rho)
+            assert sign_at(f, point) == 0
+            for w, image in signed:
+                assert sign_at(w, point) == _sturm_sign(u, image, rho.lo, rho.hi)
+    assert checked >= 30
+
+
+def test_chain_over_reducible_defining_polynomial(time_budget):
+    # Every coordinate is a root of the squarefree, reducible
+    # (t^2 - 2)(t^2 - 3), and y = -x, so x^2 = y^2 = a and x*y = -a.  Over
+    # (x - y)*f the chain divides P by the gcd; the last f makes the same
+    # chain then divide d by y^2 - 3 (a = 2), or vanish identically (a = 3).
+    order = VarOrder(["x", "y", "z"])
+    d = isolate_coeffs((6, 0, -5, 0, 1))  # -sqrt 3, -sqrt 2, sqrt 2, sqrt 3
+    cases = ["z + 1", "z^2 - x*y - 3", "z^2 - x^2", "(y^2 - 3)*(z + 1)"]
+    signed = ["z - x*y", "z^2 - y^2 - 1"]
+
+    def image(text, a):
+        text = text.replace("x*y", "(%d)" % -a)
+        text = text.replace("x^2", "(%d)" % a).replace("y^2", "(%d)" % a)
+        poly = parse_poly(text, order)
+        return [int(c.constant_value()) for c in poly.coeffs_in("z")]
+
+    for i in range(4):
+        s = SamplePoint(order, (d[i], d[3 - i]))
+        a = 2 if i in (1, 2) else 3
+        for text in cases:
+            u = image(text, a)
+            roots = roots_above(parse_poly("(x - y)*(%s)" % text, order), s, "z")
+            if not any(u):
+                assert roots is IDENTICALLY_ZERO
+                continue
+            _check_isolation(u, roots)
+            assert roots
+            for rho in roots:
+                point = s.extended(rho)
+                for w in signed:
+                    expected = _sturm_sign(u, image(w, a), rho.lo, rho.hi)
+                    assert sign_at(parse_poly(w, order), point) == expected
