@@ -354,10 +354,14 @@ def decide(f, ec_policy="auto", ec_mode="groebner"):
     """Decide a closed prenex sentence by truth-invariant CAD.
 
     The variable ordering must list the quantified variables in
-    quantification order (outermost = lowest, innermost = highest).
+    quantification order (outermost = lowest, innermost = highest).  The
+    quantifier fold stops at the first child that settles a stack (a true
+    one under exists, a false one under forall), so only the top cells it
+    reaches get a truth value; the others keep truth None, and a cell's
+    sample point is built only when a sign there needs it.
     """
     from .projection import plan_projection
-    from .lifting import build_cad, truth_assign
+    from .lifting import build_cad, leaf_truth
 
     if not isinstance(f, Formula):
         raise FormulaError("decide needs a Formula")
@@ -373,13 +377,14 @@ def decide(f, ec_policy="auto", ec_mode="groebner"):
     matrix_formula = Formula(f.matrix, f.order)
     plan = plan_projection(matrix_formula, f.order, ec_policy, ec_mode=ec_mode)
     tree = build_cad(plan)
-    truth_assign(tree, matrix_formula)
-    return _fold_truth(tree.root, f.prefix, len(f.order))
+    forms = {}
+    return _fold_truth(tree.root, f.prefix,
+                       lambda leaf: leaf_truth(leaf, f.matrix, tree.order, forms))
 
 
-def _fold_truth(cell, prefix, n):
-    if cell.level == n:
-        return cell.truth
+def _fold_truth(cell, prefix, truth_of):
+    if cell.level == len(prefix):
+        return truth_of(cell)
     quant = prefix[cell.level][0]
-    results = (_fold_truth(child, prefix, n) for child in cell.children)
+    results = (_fold_truth(child, prefix, truth_of) for child in cell.children)
     return any(results) if quant == "exists" else all(results)

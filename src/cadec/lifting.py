@@ -5,6 +5,12 @@ polynomials at the base sample point.  Two refinements apply when a level
 has a designated equational constraint: only the EC is lifted (the plan
 already reduced the lifting set), and stacks over sectors of an EC level
 collapse to a single cylinder cell.
+
+A cell stores only its own coordinate: a sector's rational sample, a
+section's root (the object the stack's roots share), or a cylinder's 0.
+Its sample point is built on first read, as its parent's sample extended
+by that coordinate, and kept; so it shares the tree's memo, and cells whose
+sample nothing reads never build one.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from .polynomial import integer_normalized
 from .projection import CapExceededError
 from .realalg import (
     IDENTICALLY_ZERO,
-    AlgebraicNumber,
     SamplePoint,
     compare_rational,
     merge_roots,
@@ -36,20 +41,32 @@ class WellOrientednessError(Exception):
 
 
 class Cell:
-    """A cylindrical cell: index vector, sample point, per-level kind."""
+    """A cylindrical cell: index vector, sample point, per-level kind.
 
-    __slots__ = ("index", "sample", "kind", "cylinder", "truth", "signs",
+    The root is given its sample point.  Any other cell is given its own
+    coordinate, and its sample is parent.sample.extended(coord), built on
+    first read."""
+
+    __slots__ = ("index", "_sample", "coord", "kind", "cylinder", "truth", "signs",
                  "children", "parent")
 
-    def __init__(self, index, sample, kind, cylinder=False, parent=None):
+    def __init__(self, index, sample, kind, cylinder=False, parent=None, coord=None):
         self.index = tuple(index)
-        self.sample = sample
+        self._sample = sample
+        self.coord = coord
         self.kind = kind          # 'sector' or 'section' at this cell's level
         self.cylinder = cylinder  # sector spanning the whole line (EC refinement)
         self.truth = None
         self.signs = {}
         self.children = []
         self.parent = parent
+
+    @property
+    def sample(self):
+        sample = self._sample
+        if sample is None:
+            sample = self._sample = self.parent.sample.extended(self.coord)
+        return sample
 
     @property
     def level(self):
@@ -147,11 +164,11 @@ def _build_stack(base, roots, contributors, polys_in_order):
     sectors = _sector_samples(roots)
     cells = []
     for i, rational in enumerate(sectors):
-        sample = base.sample.extended(AlgebraicNumber.from_rational(rational))
-        cells.append(Cell(base.index + (2 * i + 1,), sample, "sector", parent=base))
+        cells.append(Cell(base.index + (2 * i + 1,), None, "sector", parent=base,
+                          coord=rational))
         if i < len(roots):
-            sample = base.sample.extended(roots[i])
-            section = Cell(base.index + (2 * i + 2,), sample, "section", parent=base)
+            section = Cell(base.index + (2 * i + 2,), None, "section", parent=base,
+                           coord=roots[i])
             for gi in contributors[i]:
                 section.signs[polys_in_order[gi]] = 0
             cells.append(section)
@@ -177,14 +194,14 @@ def lift_stack(cell, level_polys, ec_at_base_level, v):
     polynomials in a fixed order (build_cad sorts them by str once per level).
 
     If the base level carries an EC and the base cell is a sector, the stack
-    is the single cylinder cell (real root isolation is skipped there).
+    is the single cylinder cell (real root isolation is skipped there, and
+    the base's sample is not read).
     Nullification of a lifting polynomial raises WellOrientednessError.
     """
-    base_sample = cell.sample
     if ec_at_base_level and cell.kind == "sector":
-        sample = base_sample.extended(AlgebraicNumber.from_rational(0))
-        return [Cell(cell.index + (1,), sample, "sector", cylinder=True, parent=cell)]
-    roots, contributors = _stack_roots(level_polys, base_sample, v,
+        return [Cell(cell.index + (1,), None, "sector", cylinder=True, parent=cell,
+                     coord=Fraction(0))]
+    roots, contributors = _stack_roots(level_polys, cell.sample, v,
                                        "over cell %r" % (cell.index,))
     return _build_stack(cell, roots, contributors, level_polys)
 
@@ -235,10 +252,11 @@ def cell_sign(cell, poly, order, forms):
     polynomial vanishing there.  poly is that form times a rational with
     the sign of poly's leading coefficient, so its sign is the recorded one
     times that sign.  forms maps each poly already seen to (its level, its
-    form, the sign of its leading coefficient); truth_assign passes one
-    dict, so each is computed once per truth assignment.  Either way the
-    sign is stored under poly itself, so a cell's signs have the same keys
-    whichever way a sign was found.
+    form, the sign of its leading coefficient); leaf_truth's callers
+    (truth_assign, decide) pass one dict per request, so each is computed
+    once per request.  Either way the sign is stored under poly itself, so
+    a cell's signs have the same keys whichever way a sign was found.
+    Reading the ancestor's sample builds it if no sign has needed it yet.
     """
     if poly.is_constant():
         c = poly.constant_value()
@@ -260,13 +278,19 @@ def cell_sign(cell, poly, order, forms):
     return sign
 
 
+def leaf_truth(leaf, matrix, order, forms):
+    """Evaluate the quantifier-free matrix at a top cell by cell_sign (forms
+    as there), store it as the cell's truth and return it."""
+    leaf.truth = matrix.evaluate(lambda p: cell_sign(leaf, p, order, forms))
+    return leaf.truth
+
+
 def truth_assign(tree, f):
     """Assign the truth of a quantifier-free formula to every top cell."""
     matrix = f.matrix if hasattr(f, "matrix") else f
-    order = tree.order
     forms = {}
     for leaf in tree.leaves():
-        leaf.truth = matrix.evaluate(lambda p, c=leaf: cell_sign(c, p, order, forms))
+        leaf_truth(leaf, matrix, tree.order, forms)
     return tree
 
 

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from cadec import lifting
 from cadec.polynomial import ParseError, VarOrder, integer_normalized, parse_poly
 from cadec.formula import (
     And, Atom, Formula, Not, Or, decide, evaluate_at_rationals, identify_ecs,
     parse_formula,
 )
+from corpus import load_corpus
 
 O2 = VarOrder(["y", "x"])
 
@@ -88,3 +91,46 @@ def test_decide_rejects_open_formula():
     f = parse_formula("exists x. x - y = 0", O2)
     with pytest.raises(Exception):
         decide(f)
+
+
+def _decided_tree(monkeypatch, f):
+    """decide(f) and the CAD tree it built."""
+    trees = []
+    build = lifting.build_cad
+    with monkeypatch.context() as m:
+        m.setattr(lifting, "build_cad", lambda plan: trees.append(build(plan)) or trees[-1])
+        truth = decide(f)
+    return truth, trees[0]
+
+
+def _eager_fold(cell, prefix):
+    if cell.level == len(prefix):
+        return cell.truth
+    results = [_eager_fold(child, prefix) for child in cell.children]
+    return any(results) if prefix[cell.level][0] == "exists" else all(results)
+
+
+def test_decide_matches_eager_fold(monkeypatch):
+    # decide reads leaf truths on demand; truth_assign on the same tree and
+    # a fold with no short-circuit must give the same answer, and the same
+    # truth on every leaf decide reached
+    for _, qf, _ in load_corpus():
+        names = qf.order.names
+        for quants in product(("exists", "forall"), repeat=len(names)):
+            sentence = Formula(qf.matrix, qf.order, zip(quants, names))
+            for f in (sentence, sentence.negated()):
+                truth, tree = _decided_tree(monkeypatch, f)
+                reached = {leaf.index: leaf.truth for leaf in tree.leaves()
+                           if leaf.truth is not None}
+                lifting.truth_assign(tree, f)
+                assert truth == _eager_fold(tree.root, f.prefix), str(f)
+                assert all(reached[leaf.index] == leaf.truth
+                           for leaf in tree.leaves() if leaf.index in reached)
+
+
+def test_decide_leaves_unread_leaves_unassigned(monkeypatch):
+    # over each y, the exists-x fold stops at the section x = y
+    f = parse_formula("forall y. exists x. x - y = 0", O2)
+    truth, tree = _decided_tree(monkeypatch, f)
+    truths = [leaf.truth for leaf in tree.leaves()]
+    assert truth and None in truths and True in truths

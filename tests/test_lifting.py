@@ -258,3 +258,39 @@ def test_truth_assign_keeps_json_signs():
     truth_assign(got, f)
     reference_truth_assign(expected, f)
     assert _signs_and_truths(got) == _signs_and_truths(expected)
+
+
+def _walk(cell):
+    yield cell
+    for child in cell.children:
+        yield from _walk(child)
+
+
+@pytest.mark.parametrize("policy", ["none", "auto"])
+def test_samples_are_built_on_first_read(policy):
+    order = VarOrder(["z", "y", "x"])
+    f = parse_formula("x^2 + y^2 + z^2 - 1 = 0 and x + y + z = 0", order)
+    plan = plan_projection(f, order, policy)
+    tree = build_cad(plan)
+    assert all(leaf._sample is None for leaf in tree.leaves())
+    for cell in _walk(tree.root):
+        if cell.parent is None:
+            continue
+        coords, base = cell.sample.coords, cell.parent.sample.coords
+        assert coords[:-1] == base and cell.sample.memo is tree.root.sample.memo
+        if cell.is_section():
+            assert coords[-1] is cell.coord
+        else:
+            assert coords[-1].rational_value() == cell.coord
+    # forcing every sample before truth assignment changes no output
+    lazy, forced = build_cad(plan), build_cad(plan)
+    for cell in _walk(forced.root):
+        cell.sample
+    truth_assign(lazy, f)
+    truth_assign(forced, f)
+    assert lazy.to_json() == forced.to_json()
+    rng = random.Random(29)
+    for _ in range(40):
+        pt = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3)]
+        a, b = locate(lazy, pt), locate(forced, pt)
+        assert (a.index, a.truth) == (b.index, b.truth)
