@@ -2,7 +2,8 @@
 
 normal_form divides by a heap.  Each generator's leading monomial is taken
 once, and its tail is kept scaled by 1/lc.  The dividend lives in one
-mutable {exponent: Fraction} map, and a heap of order keys yields its next
+mutable {exponent: coefficient} map (an int when integral, a Fraction
+otherwise, as in Polynomial), and a heap of order keys yields its next
 largest monomial; a term that cancelled is dropped when it surfaces.  A
 reduction step subtracts coeff * shift * tail term by term, so no
 Polynomial is built per step.  The divisor of a term is still the first
@@ -30,12 +31,11 @@ the pair order nor the criteria change any output.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import itemgetter, le
 
-from .polynomial import Polynomial, PolynomialError
+from .polynomial import Polynomial, PolynomialError, coeff_quotient, int_coeffs
 
 
 class GroebnerError(PolynomialError):
@@ -119,7 +119,7 @@ class IdealBasis:
             "; ".join(str(g) for g in self.gens), self.morder.kind)
 
 
-def _monomial(order, expt, coeff=Fraction(1)):
+def _monomial(order, expt, coeff=1):
     return Polynomial(order, {tuple(expt): coeff}, _clean=True)
 
 
@@ -133,7 +133,7 @@ def _lcm(a, b):
 
 def _divisor(g, morder):
     lead, lc = morder.leading(g)
-    return lead, [(e, c / lc) for e, c in g.terms.items() if e != lead]
+    return lead, [(e, coeff_quotient(c, lc)) for e, c in g.terms.items() if e != lead]
 
 
 def normal_form(p, basis):
@@ -174,7 +174,7 @@ def normal_form(p, basis):
                 break
         else:
             remainder[expt] = coeff
-    return Polynomial(order, remainder, _clean=True)
+    return Polynomial(order, int_coeffs(remainder), _clean=True)
 
 
 def s_polynomial(f, g, morder):
@@ -182,14 +182,14 @@ def s_polynomial(f, g, morder):
     (eg, cg) = morder.leading(g)
     lcm = _lcm(ef, eg)
     order = morder.order
-    mf = _monomial(order, tuple(a - b for a, b in zip(lcm, ef)), 1 / cf)
-    mg = _monomial(order, tuple(a - b for a, b in zip(lcm, eg)), 1 / cg)
+    mf = _monomial(order, tuple(a - b for a, b in zip(lcm, ef)), coeff_quotient(1, cf))
+    mg = _monomial(order, tuple(a - b for a, b in zip(lcm, eg)), coeff_quotient(1, cg))
     return mf * f - mg * g
 
 
 def _monic(p, morder):
     _, c = morder.leading(p)
-    return p * (1 / c)
+    return Polynomial(p.order, {e: coeff_quotient(x, c) for e, x in p.terms.items()}, _clean=True)
 
 
 def buchberger(gens, morder):

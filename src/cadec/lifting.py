@@ -45,9 +45,11 @@ class Cell:
 
     The root is given its sample point.  Any other cell is given its own
     coordinate, and its sample is parent.sample.extended(coord), built on
-    first read."""
+    first read.  Most cells of a tree record no sign and the top cells have
+    no stack, so a cell starts with no signs dict and an empty tuple of
+    children; build_cad assigns the stack."""
 
-    __slots__ = ("index", "_sample", "coord", "kind", "cylinder", "truth", "signs",
+    __slots__ = ("index", "_sample", "coord", "kind", "cylinder", "truth", "_signs",
                  "children", "parent")
 
     def __init__(self, index, sample, kind, cylinder=False, parent=None, coord=None):
@@ -57,9 +59,18 @@ class Cell:
         self.kind = kind          # 'sector' or 'section' at this cell's level
         self.cylinder = cylinder  # sector spanning the whole line (EC refinement)
         self.truth = None
-        self.signs = {}
-        self.children = []
+        self._signs = None
+        self.children = ()
         self.parent = parent
+
+    @property
+    def signs(self):
+        """Exact signs recorded at this cell's sample, by polynomial; the
+        dict is made on first read."""
+        signs = self._signs
+        if signs is None:
+            signs = self._signs = {}
+        return signs
 
     @property
     def sample(self):
@@ -109,8 +120,8 @@ class CADTree:
             }
             if cell.truth is not None:
                 entry["truth"] = cell.truth
-            if cell.signs:
-                entry["signs"] = {str(p): s for p, s in cell.signs.items()}
+            if cell._signs:
+                entry["signs"] = {str(p): s for p, s in cell._signs.items()}
             if cell.children:
                 entry["stack"] = [dump(c) for c in cell.children]
             return entry

@@ -1,9 +1,14 @@
 """Sparse exact-rational multivariate polynomials.
 
 Polynomials are immutable values: a map from exponent vectors to non-zero
-Fraction coefficients, under a fixed variable ordering.  Everything else in
-the package (root isolation, Groebner bases, projection, lifting) is built
-on the operations here.
+rational coefficients, under a fixed variable ordering.  A coefficient is
+an int when it is integral and a Fraction only when it is not, so the
+integral polynomials of projection (resultants, discriminants, gcds) do
+integer arithmetic throughout; every coefficient division goes through one
+exact quotient that leaves ints as ints when the division is exact.  The
+type plays no part in equality or hashing (3 == Fraction(3) and both hash
+alike).  Everything else in the package (root isolation, Groebner bases,
+projection, lifting) is built on the operations here.
 
 poly_gcd first tries to prove a pair coprime in its main variable v on an
 integer image: every other variable is set to a small integer, at a point
@@ -92,20 +97,44 @@ class VarOrder:
         return "VarOrder(%s)" % ",".join(self.names)
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _coeff(x):
+    """x as a coefficient: an int when integral, else a Fraction.  Floats
+    and other types are refused."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
+def coeff_quotient(a, b):
+    """The exact quotient a / b of two coefficients: an int when b divides
+    a in the integers, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(a / b)
+
+
+def int_coeffs(terms):
+    """terms (modified in place) with each integral Fraction made an int."""
+    if {int}.issuperset(map(type, terms.values())):
+        return terms
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with rational coefficients.
 
     terms maps exponent tuples (one entry per variable of the order) to
-    non-zero Fractions.  Instances are immutable and hashable; equal term
-    maps mean equal polynomials (canonical form).
+    non-zero coefficients: an int when integral, a Fraction otherwise.
+    Instances are immutable and hashable; equal term maps mean equal
+    polynomials (canonical form), whatever the coefficient types.
     """
 
     __slots__ = ("order", "terms", "_hash")
@@ -118,14 +147,14 @@ class Polynomial:
             clean = {}
             width = len(order)
             for expt, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff == 0:
                     continue
                 expt = tuple(expt)
                 if len(expt) != width or any(e < 0 for e in expt):
                     raise PolynomialError("bad exponent vector %r" % (expt,))
-                clean[expt] = clean.get(expt, Fraction(0)) + coeff
-            self.terms = {e: c for e, c in clean.items() if c != 0}
+                clean[expt] = clean.get(expt, 0) + coeff
+            self.terms = int_coeffs({e: c for e, c in clean.items() if c != 0})
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -136,7 +165,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, order, value):
-        value = _as_fraction(value)
+        value = _coeff(value)
         if value == 0:
             return cls.zero(order)
         return cls(order, {(0,) * len(order): value}, _clean=True)
@@ -145,7 +174,7 @@ class Polynomial:
     def variable(cls, order, name):
         i = order.index(name)
         expt = tuple(1 if j == i else 0 for j in range(len(order)))
-        return cls(order, {expt: Fraction(1)}, _clean=True)
+        return cls(order, {expt: 1}, _clean=True)
 
     @classmethod
     def monomial(cls, order, expt, coeff):
@@ -163,7 +192,7 @@ class Polynomial:
 
     def constant_value(self):
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise PolynomialError("not a constant: %s" % self)
         return next(iter(self.terms.values()))
@@ -192,18 +221,23 @@ class Polynomial:
         if self.order != other.order:
             raise OrderingMismatchError("mixed variable orderings")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _sum(self, other, negate):
+        """self + other, or self - other when negate."""
+        if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.order, other)
         self._check(other)
         terms = dict(self.terms)
+        get = terms.get
         for expt, coeff in other.terms.items():
-            s = terms.get(expt, Fraction(0)) + coeff
+            s = get(expt, 0) - coeff if negate else get(expt, 0) + coeff
             if s:
                 terms[expt] = s
             elif expt in terms:
                 del terms[expt]
-        return Polynomial(self.order, terms, _clean=True)
+        return Polynomial(self.order, int_coeffs(terms), _clean=True)
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     __radd__ = __add__
 
@@ -211,50 +245,49 @@ class Polynomial:
         return Polynomial(self.order, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.order, other)
-        return self + (-other)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+        if not isinstance(other, Polynomial):
+            other = _coeff(other)
             if other == 0:
                 return Polynomial.zero(self.order)
-            return Polynomial(self.order,
-                              {e: c * other for e, c in self.terms.items()},
-                              _clean=True)
+            terms = {e: c * other for e, c in self.terms.items()}
+            return Polynomial(self.order, int_coeffs(terms), _clean=True)
         self._check(other)
         if len(self.terms) > len(other.terms):
-            a, b = other, self
+            a, b = other.terms, self.terms
         else:
-            a, b = self, other
+            a, b = self.terms, other.terms
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+        get = terms.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(int.__add__, e1, e2))
+                s = get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 elif e in terms:
                     del terms[e]
-        return Polynomial(self.order, terms, _clean=True)
+        return Polynomial(self.order, int_coeffs(terms), _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise PolynomialError("negative power")
-        result = Polynomial.constant(self.order, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Polynomial.constant(self.order, 1) if result is None else result
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.order == other.order
@@ -285,7 +318,11 @@ class Polynomial:
         return [Polynomial(self.order, b, _clean=True) for b in buckets]
 
     def leading_coeff_in(self, v):
-        return self.coeffs_in(v)[-1]
+        i = self.order.index(v)
+        d = self.degree_in(v)
+        return Polynomial(self.order, {e[:i] + (0,) + e[i + 1:]: c
+                                       for e, c in self.terms.items() if e[i] == d},
+                          _clean=True)
 
     def derivative(self, v):
         i = self.order.index(v)
@@ -294,12 +331,12 @@ class Polynomial:
             if expt[i] == 0:
                 continue
             e = expt[:i] + (expt[i] - 1,) + expt[i + 1:]
-            terms[e] = terms.get(e, Fraction(0)) + coeff * expt[i]
+            terms[e] = coeff * expt[i]
         return Polynomial(self.order, terms)
 
     def evaluate(self, assignment):
         """Partially substitute rational values; returns a Polynomial."""
-        idx = {self.order.index(v): _as_fraction(q) for v, q in assignment.items()}
+        idx = {self.order.index(v): _coeff(q) for v, q in assignment.items()}
         terms = {}
         for expt, coeff in self.terms.items():
             c = coeff
@@ -311,12 +348,12 @@ class Polynomial:
             if c == 0:
                 continue
             e = tuple(e)
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return Polynomial(self.order, terms, _clean=True)
+        return Polynomial(self.order, int_coeffs(terms), _clean=True)
 
     def eval_rational(self, assignment):
         value = self.evaluate(assignment)
@@ -418,7 +455,7 @@ def tokenize(text):
                 tokens.append(("num", Fraction(int(text[i:j]), int(text[j + 1:k])), i))
                 i = k
             else:
-                tokens.append(("num", Fraction(int(text[i:j])), i))
+                tokens.append(("num", int(text[i:j]), i))
                 i = j
             continue
         if ch.isalpha() and ch.islower():
@@ -546,17 +583,17 @@ def integer_normalized(p):
     coefficient (lex leading term, highest variable most significant)."""
     if p.is_zero():
         return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // _int_gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    scale = Fraction(denom_lcm, num_gcd)
-    _, lead = p.leading_term()
-    if lead < 0:
-        scale = -scale
-    return p * scale
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    if den == 1:
+        terms = p.terms
+    else:
+        terms = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    g = _int_gcd(*terms.values())
+    if terms[p.leading_term()[0]] < 0:
+        g = -g
+    if g == 1:
+        return p if den == 1 else Polynomial(p.order, terms, _clean=True)
+    return Polynomial(p.order, {e: c // g for e, c in terms.items()}, _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +605,9 @@ def exact_div(p, q):
     if q.is_zero():
         raise ZeroPolynomialError("division by zero polynomial")
     if q.is_constant():
-        return p * (1 / q.constant_value())
+        k = q.constant_value()
+        return Polynomial(p.order, {e: coeff_quotient(c, k) for e, c in p.terms.items()},
+                          _clean=True)
     order = p.order
     q_expt, q_coeff = q.leading_term()
     quotient = {}
@@ -578,11 +617,11 @@ def exact_div(p, q):
         diff = tuple(a - b for a, b in zip(r_expt, q_expt))
         if any(e < 0 for e in diff):
             raise ExactDivisionError("%s does not divide %s" % (q, p))
-        c = r_coeff / q_coeff
+        c = coeff_quotient(r_coeff, q_coeff)
         quotient[diff] = c
         mono = Polynomial(order, {diff: c}, _clean=True)
         rem = rem - mono * q
-    return Polynomial(order, quotient)
+    return Polynomial(order, quotient, _clean=True)
 
 
 def divides(q, p):

@@ -217,7 +217,7 @@ def reference_normal_form(p, gens, morder):
         for (lexpt, lcoeff), g in leads:
             if all(a <= b for a, b in zip(lexpt, expt)):
                 shift = tuple(a - b for a, b in zip(expt, lexpt))
-                work = work - Polynomial.monomial(order, shift, coeff / lcoeff) * g
+                work = work - Polynomial.monomial(order, shift, Fraction(coeff) / lcoeff) * g
                 break
         else:
             mono = Polynomial.monomial(order, expt, coeff)
@@ -230,8 +230,8 @@ def reference_s_polynomial(f, g, morder):
     (ef, cf), (eg, cg) = _lead(f, morder), _lead(g, morder)
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     order = f.order
-    return (Polynomial.monomial(order, [a - b for a, b in zip(lcm, ef)], 1 / cf) * f
-            - Polynomial.monomial(order, [a - b for a, b in zip(lcm, eg)], 1 / cg) * g)
+    return (Polynomial.monomial(order, [a - b for a, b in zip(lcm, ef)], Fraction(1) / cf) * f
+            - Polynomial.monomial(order, [a - b for a, b in zip(lcm, eg)], Fraction(1) / cg) * g)
 
 
 def reference_groebner(gens, morder):
@@ -259,7 +259,7 @@ def reference_groebner(gens, morder):
     reduced = []
     for i, g in enumerate(minimal):
         r = reference_normal_form(g, minimal[:i] + minimal[i + 1:], morder)
-        reduced.append(r * (1 / _lead(r, morder)[1]))
+        reduced.append(r * (Fraction(1) / _lead(r, morder)[1]))
     return reduced
 
 

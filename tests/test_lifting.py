@@ -294,3 +294,20 @@ def test_samples_are_built_on_first_read(policy):
         pt = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3)]
         a, b = locate(lazy, pt), locate(forced, pt)
         assert (a.index, a.truth) == (b.index, b.truth)
+
+
+def test_cells_make_signs_and_children_on_demand():
+    # sectors record no sign and top cells have no stack, so neither gets a
+    # container of its own until something is stored there
+    import json
+    order = VarOrder(["z", "y", "x"])
+    f = parse_formula("x^2 + y^2 + z^2 - 1 = 0 and x + y + z > 0", order)
+    tree = build_cad(plan_projection(f, order, "none"))
+    cells = list(_walk(tree.root))
+    assert all(leaf.children == () for leaf in tree.leaves())
+    assert all(c._signs is None for c in cells if not c.is_section())
+    assert all(c._signs for c in cells if c.is_section())
+    assert "signs" not in json.loads(tree.to_json())["root"]["stack"][0]
+    truth_assign(tree, f)
+    sector = next(leaf for leaf in tree.leaves() if not leaf.is_section())
+    assert sector._signs and all(s in (-1, 1) for s in sector.signs.values())

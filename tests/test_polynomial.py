@@ -235,3 +235,71 @@ def test_squarefree_basis_invariants():
     for i, a in enumerate(bs):
         for b in bs[i + 1:]:
             assert not resultant(a, b, "x").is_zero()
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: an int when integral, a Fraction otherwise
+
+
+def _all_int(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+def test_integral_inputs_keep_int_coefficients():
+    p, q = P("3*x^2*y - 2*y + 7"), P("(x - y)*(2*x + 3)")
+    assert _all_int(p) and _all_int(q)
+    assert _all_int(P("(1/2)*x*2 + 4/2"))
+    assert _all_int(integer_normalized(P("(2/3)*x^2 - (4/9)*y")))
+    assert _all_int(resultant(p, q, "x")) and _all_int(resultant(p, q, "y"))
+    assert _all_int(discriminant(q, "x")) and _all_int(discriminant(p * q, "x"))
+    g = P("x + y")
+    assert _all_int(poly_gcd(g * P("x - 1"), g * P("y^2 + 2")))
+    assert _all_int(poly_gcd(p * g, q * g))
+    basis = squarefree_basis({P("(x-1)*(x-2)"), P("(x-2)*(x-3)"), P("x^2-1"), p}, "x")
+    assert basis and all(_all_int(b) for b in basis)
+    assert type(Polynomial.zero(O2).constant_value()) is int
+
+
+def test_exact_div_non_integral_quotient():
+    p, q = P("x^2 + x*y + 1"), P("3")
+    quotient = exact_div(p, q)
+    assert quotient.terms[(0, 2)] == Fraction(1, 3)
+    assert type(quotient.terms[(0, 2)]) is Fraction
+    assert quotient * q == p
+    p, q = P("x^2 - y^2"), P("2*x - 2*y")
+    quotient = exact_div(p, q)
+    assert quotient == P("(1/2)*x + (1/2)*y") and quotient * q == p
+    assert all(type(c) is Fraction for c in quotient.terms.values())
+
+
+def test_float_coefficient_refused():
+    with pytest.raises(TypeError):
+        Polynomial.constant(O2, 0.5)
+    with pytest.raises(TypeError):
+        Polynomial.monomial(O2, (1, 0), 1.5)
+    with pytest.raises(TypeError):
+        P("x + 1") * 2.0
+
+
+def test_int_and_fraction_coefficients_equal_and_hash_alike():
+    a = Polynomial.monomial(O2, (1, 2), 3) + Polynomial.constant(O2, -1)
+    b = Polynomial(O2, {(1, 2): Fraction(3), (0, 0): Fraction(-1)}, _clean=True)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert Polynomial.constant(O2, 3) == Polynomial.constant(O2, Fraction(3))
+    assert hash(Polynomial.constant(O2, 3)) == hash(Polynomial.constant(O2, Fraction(3)))
+    assert str(a) == str(b)
+
+
+def test_resultant_sylvester_oracle_mixed_coefficients():
+    rng = random.Random(43)
+    checked = 0
+    while checked < 60:
+        p = random_poly(O3, rng, max_deg=3, terms=4)
+        q = random_poly(O3, rng, max_deg=3, terms=4) * Fraction(1, rng.randint(2, 5))
+        p = p + Polynomial.monomial(O3, (1, 0, 0), Fraction(rng.randint(1, 7), 2))
+        if p.degree_in("z") < 1 or q.degree_in("z") < 1:
+            continue
+        assert not _all_int(q)
+        assert resultant(p, q, "z") == sylvester_resultant(p, q, "z")
+        checked += 1
