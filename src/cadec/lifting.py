@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import ceil, floor
 
 from .polynomial import integer_normalized
 from .projection import CapExceededError
@@ -139,11 +138,15 @@ class CADTree:
 
 
 def _lower(alpha):
-    return alpha.rational_value() if alpha.is_rational else alpha.lo
+    """alpha's exact value if rational, else its interval's lower end, as
+    an integer pair (numerator, denominator > 0)."""
+    coeffs = alpha.coeffs
+    return (-coeffs[0], coeffs[1]) if len(coeffs) == 2 else (alpha.lo_num, alpha.den)
 
 
 def _upper(alpha):
-    return alpha.rational_value() if alpha.is_rational else alpha.hi
+    coeffs = alpha.coeffs
+    return (-coeffs[0], coeffs[1]) if len(coeffs) == 2 else (alpha.hi_num, alpha.den)
 
 
 def _sector_samples(roots):
@@ -153,20 +156,26 @@ def _sector_samples(roots):
     midpoint.  Irrational roots are refined until the gap clears: strictly
     when one neighbour is a rational q (a shared endpoint would make the
     sample q, the root itself); two irrational intervals may share an
-    endpoint, which is a root of neither."""
+    endpoint, which is a root of neither.  Endpoints are compared as
+    integer pairs (the roots' integer intervals); the sample between two
+    roots is the one Fraction made here, and the outer samples are ints.
+    The values are those of the same rules in Fraction arithmetic."""
     if not roots:
-        return [Fraction(0)]
-    samples = [Fraction(floor(_lower(roots[0]))) - 1]
+        return [0]
+    n, d = _lower(roots[0])
+    samples = [n // d - 1]
     for a, b in zip(roots, roots[1:]):
         while True:
-            hi, lo = _upper(a), _lower(b)
-            if hi < lo or (hi == lo and not a.is_rational and not b.is_rational):
+            (hn, hd), (ln, ld) = _upper(a), _lower(b)
+            x, y = hn * ld, ln * hd
+            if x < y or (x == y and not a.is_rational and not b.is_rational):
                 break
             for r in (a, b):
                 if not r.is_rational:
                     r.refine()
-        samples.append((hi + lo) / 2)
-    samples.append(Fraction(ceil(_upper(roots[-1]))) + 1)
+        samples.append(Fraction(x + y, 2 * hd * ld))
+    n, d = _upper(roots[-1])
+    samples.append(-(-n // d) + 1)
     return samples
 
 

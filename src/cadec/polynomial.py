@@ -134,10 +134,11 @@ class Polynomial:
     terms maps exponent tuples (one entry per variable of the order) to
     non-zero coefficients: an int when integral, a Fraction otherwise.
     Instances are immutable and hashable; equal term maps mean equal
-    polynomials (canonical form), whatever the coefficient types.
+    polynomials (canonical form), whatever the coefficient types.  The hash
+    and the degree vector are computed on first read and kept.
     """
 
-    __slots__ = ("order", "terms", "_hash")
+    __slots__ = ("order", "terms", "_hash", "_degrees")
 
     def __init__(self, order, terms, _clean=False):
         self.order = order
@@ -156,6 +157,7 @@ class Polynomial:
                 clean[expt] = clean.get(expt, 0) + coeff
             self.terms = int_coeffs({e: c for e, c in clean.items() if c != 0})
         self._hash = None
+        self._degrees = None
 
     # -- constructors ------------------------------------------------------
 
@@ -197,23 +199,26 @@ class Polynomial:
             raise PolynomialError("not a constant: %s" % self)
         return next(iter(self.terms.values()))
 
+    def degrees(self):
+        """The degree in each variable of the order, as a tuple by position."""
+        degrees = self._degrees
+        if degrees is None:
+            terms = self.terms
+            degrees = self._degrees = (tuple(map(max, zip(*terms))) if terms
+                                       else (0,) * len(self.order))
+        return degrees
+
     def variables(self):
-        seen = set()
-        for expt in self.terms:
-            for i, e in enumerate(expt):
-                if e:
-                    seen.add(self.order.names[i])
-        return seen
+        names = self.order.names
+        return frozenset(names[i] for i, e in enumerate(self.degrees()) if e)
 
     def main_variable(self):
         """Highest-ordered variable actually present, or None for constants."""
-        best = -1
-        for expt in self.terms:
-            for i in range(len(expt) - 1, best, -1):
-                if expt[i]:
-                    best = max(best, i)
-                    break
-        return self.order.names[best] if best >= 0 else None
+        degrees = self.degrees()
+        for i in range(len(degrees) - 1, -1, -1):
+            if degrees[i]:
+                return self.order.names[i]
+        return None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -301,8 +306,7 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def degree_in(self, v):
-        i = self.order.index(v)
-        return max((expt[i] for expt in self.terms), default=0)
+        return self.degrees()[self.order.index(v)]
 
     def total_degree(self):
         return max((sum(expt) for expt in self.terms), default=0)

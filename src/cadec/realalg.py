@@ -7,6 +7,18 @@ with a positive leading coefficient, and a rational n/d is the tuple
 (-n, d).  The sign of such a polynomial at a rational p/q is one integer
 homogeneous Horner evaluation (usign); no Fraction arithmetic is involved.
 
+The isolating interval is three ints too: (lo_num/den, hi_num/den), den > 0,
+not necessarily in lowest terms.  Bisection takes the midpoint (lo_num +
+hi_num)/(2 den), halving the sum instead when it is even; comparisons
+cross-multiply; a rational root compares through its tuple (-n, d).  So
+refine, compare, compare_rational, merge_roots and lifting's sector
+samples build no Fraction.  Fractions remain where a reader wants one: the
+read-only lo and hi properties, rational_value, a sector sample between two
+roots, and the rational roots isolation finds (at a bisection point, or by
+limit_denominator).  Every endpoint has the value the Fraction arithmetic
+of exact midpoints gives, so refinement, printed intervals, samples, signs
+and truth do not depend on the representation.
+
 isolate_coeffs takes the squarefree part of its input, then:
 
 - degree 1: the closed-form root;
@@ -60,15 +72,16 @@ sample points (a CAD build and its truth assignment), and a SamplePoint
 made anew starts an empty one.
 
 The same memo holds the root lists of roots_above(p, s, v), keyed on p, v
-and the coordinates of p's other variables, sorted by name: a rational one
-by its value, as its defining tuple (-n, d) (equal tuples are equal values,
-and a tuple of ints hashes far faster than a Fraction), an irrational one as
-the AlgebraicNumber object itself, which hashes by identity (the key holds a
-reference, so its id is not reused).  roots_above reads nothing else of s, so
-an equal key means an equal answer: a lifting polynomial y1 - y0 is isolated
-once per distinct y0, not once per cell above it.  A roots key's second entry
-is a variable name and a resultant key's a polynomial, so the two kinds
-never collide.  The roots handed back are shared, and whoever refines one
+and the coordinates of p's other variables, read from s.coords at the
+positions where p's degree vector (computed once per polynomial) is
+non-zero: a rational one by its value, as its defining tuple (-n, d) (equal
+tuples are equal values, and a tuple of ints hashes far faster than a
+Fraction), an irrational one as the AlgebraicNumber object itself, which
+hashes by identity (the key holds a reference, so its id is not reused).
+roots_above reads nothing else of s, so an equal key means an equal answer:
+a lifting polynomial y1 - y0 is isolated once per distinct y0, not once per
+cell above it.  A roots key's second entry is a variable name and a
+resultant key's a polynomial, so the two kinds never collide.  The roots handed back are shared, and whoever refines one
 refines it for all; that only shrinks its interval, so at most a sector
 sample's rational depends on it (see above).
 
@@ -89,7 +102,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import count
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .polynomial import (
     Polynomial,
@@ -137,10 +150,9 @@ def _fraction(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
-def usign(coeffs, q):
-    """Sign of coeffs at the rational q = p/d (d > 0): the sign of
-    sum c_i p^i d^(n-i), by one integer Horner evaluation."""
-    p, d = q.numerator, q.denominator
+def usign(coeffs, p, d):
+    """Sign of coeffs at p/d (d > 0, not necessarily in lowest terms): the
+    sign of sum c_i p^i d^(n-i), by one integer Horner evaluation."""
     acc = 0
     if d == 1:
         for c in reversed(coeffs):
@@ -269,7 +281,8 @@ def _isolate_small(f):
     if len(f) == 1:
         return []
     if len(f) == 2:
-        return [AlgebraicNumber.from_rational(Fraction(-f[0], f[1]))]
+        # f is primitive with f[1] > 0: -f[0]/f[1] is in lowest terms
+        return [AlgebraicNumber(f, -f[0] - f[1], -f[0] + f[1], f[1], _sign_lo=-1)]
     c, b, a = f
     disc = b * b - 4 * a * c
     if disc < 0:
@@ -279,27 +292,30 @@ def _isolate_small(f):
     if disc == 0:
         return [AlgebraicNumber.from_rational(Fraction(-b, a2))]
     if s * s == disc:
-        half_gap = Fraction(s, a2)
+        # each rational root q with the interval (q - s/2a, q + s/2a)
         roots = []
-        for q in (Fraction(-b - s, a2), Fraction(-b + s, a2)):
-            roots.append(AlgebraicNumber((-q.numerator, q.denominator),
-                                         q - half_gap, q + half_gap, _sign_lo=-1))
+        for n, lo, hi in ((-b - s, -b - 2 * s, -b), (-b + s, -b, -b + 2 * s)):
+            g = gcd(n, a2)
+            roots.append(AlgebraicNumber((-n // g, a2 // g), lo, hi, a2, _sign_lo=-1))
         return roots
-    return [AlgebraicNumber(f, Fraction(-b - s - 1, a2), Fraction(-b - s, a2), _sign_lo=1),
-            AlgebraicNumber(f, Fraction(-b + s, a2), Fraction(-b + s + 1, a2), _sign_lo=-1)]
+    return [AlgebraicNumber(f, -b - s - 1, -b - s, a2, _sign_lo=1),
+            AlgebraicNumber(f, -b + s, -b + s + 1, a2, _sign_lo=-1)]
 
 
-def _rational_root_in(f, lo, hi):
-    """The root of f in the isolating interval (lo, hi) if it is rational,
-    else None.  A rational root p/q of f in lowest terms has q | lc(f), so
-    within 1/(2 lc^2) of it no other fraction has a denominator <= lc."""
+def _rational_root_in(f, lo, hi, den):
+    """The root of f in the isolating interval (lo/den, hi/den) if it is
+    rational, else None.  A rational root p/q of f in lowest terms has
+    q | lc(f), so within 1/(2 lc^2) of it no other fraction has a
+    denominator <= lc."""
     lc = f[-1]
-    alpha = AlgebraicNumber(f, lo, hi)
+    alpha = AlgebraicNumber(f, lo, hi, den)
     alpha.refine_below(Fraction(1, lc * lc))
     if alpha.is_rational:
         return alpha.rational_value()
-    r = ((alpha.lo + alpha.hi) / 2).limit_denominator(lc)
-    if alpha.lo < r < alpha.hi and usign(f, r) == 0:
+    lo, hi, den = alpha.lo_num, alpha.hi_num, alpha.den
+    r = Fraction(lo + hi, 2 * den).limit_denominator(lc)
+    n, d = r.numerator, r.denominator
+    if lo * d < n * den < hi * d and usign(f, n, d) == 0:
         return r
     return None
 
@@ -326,21 +342,21 @@ def _isolate_bisect(f):
         for c, j in exact:
             rationals.append(side * Fraction(c << k, 1 << j))
         for c, j in cells:
-            lo, hi = Fraction(c << k, 1 << j), Fraction((c + 1) << k, 1 << j)
-            intervals.append((lo, hi) if side == 1 else (-hi, -lo))
+            lo, hi = c << k, (c + 1) << k
+            intervals.append((lo, hi, 1 << j) if side == 1 else (-hi, -lo, 1 << j))
     rest = _deflate(f, rationals)
     if len(rest) <= 3:
         return [AlgebraicNumber.from_rational(r) for r in zero + rationals] + _isolate_small(rest)
     irrational, found = [], []
-    for lo, hi in intervals:
-        r = _rational_root_in(rest, lo, hi)
+    for box in intervals:
+        r = _rational_root_in(rest, *box)
         if r is None:
-            irrational.append((lo, hi))
+            irrational.append(box)
         else:
             found.append(r)
     rest = _deflate(rest, found)
     return ([AlgebraicNumber.from_rational(r) for r in zero + rationals + found]
-            + [AlgebraicNumber(rest, lo, hi) for lo, hi in irrational])
+            + [AlgebraicNumber(rest, *box) for box in irrational])
 
 
 def _deflate(f, rationals):
@@ -356,22 +372,28 @@ def _deflate(f, rationals):
 
 class AlgebraicNumber:
     """A real algebraic number: squarefree defining polynomial (a primitive
-    integer tuple) plus an open rational interval containing exactly one of
-    its real roots.
+    integer tuple) plus an open interval containing exactly one of its real
+    roots.
 
-    Rational numbers are the degenerate case (defining d x - n); their value
-    is kept once known.  Refinement shrinks the interval in place and is
-    monotone.
+    The interval is three ints, (lo_num/den, hi_num/den) with den > 0, not
+    necessarily in lowest terms: bisection, comparison and sector samples
+    cross-multiply integers and build no Fraction.  lo and hi read the
+    endpoints as Fractions; their values are those the Fraction arithmetic
+    of exact midpoints gives, so printed intervals do not depend on the
+    representation.
+
+    Rational numbers are the degenerate case (defining d x - n, d > 0), and
+    compare through that tuple; their Fraction value is made on first read
+    and kept.  Refinement shrinks the interval in place and is monotone.
     """
 
-    __slots__ = ("coeffs", "lo", "hi", "_sign_lo", "_value")
+    __slots__ = ("coeffs", "lo_num", "hi_num", "den", "_sign_lo", "_value")
 
-    def __init__(self, coeffs, lo, hi, _sign_lo=None):
+    def __init__(self, coeffs, lo_num, hi_num, den, _sign_lo=None):
         self.coeffs = tuple(coeffs)
-        self.lo = _fraction(lo)
-        self.hi = _fraction(hi)
+        self.lo_num, self.hi_num, self.den = lo_num, hi_num, den
         if _sign_lo is None and len(self.coeffs) > 2:
-            _sign_lo = usign(self.coeffs, self.lo)
+            _sign_lo = usign(self.coeffs, lo_num, den)
             if _sign_lo == 0:
                 raise RealAlgebraError("isolating interval endpoint is a root")
         self._sign_lo = _sign_lo
@@ -379,18 +401,26 @@ class AlgebraicNumber:
 
     @classmethod
     def from_rational(cls, q):
+        """q (a Fraction or an int) with the interval (q - 1, q + 1)."""
+        if type(q) is int:
+            return cls((-q, 1), q - 1, q + 1, 1, _sign_lo=-1)
         q = _fraction(q)
         n, d = q.numerator, q.denominator
-        alpha = cls.__new__(cls)
-        alpha.coeffs = (-n, d)
-        alpha.lo, alpha.hi = Fraction(n - d, d), Fraction(n + d, d)
-        alpha._sign_lo = -1
+        alpha = cls((-n, d), n - d, n + d, d, _sign_lo=-1)
         alpha._value = q
         return alpha
 
     @property
     def is_rational(self):
         return len(self.coeffs) == 2
+
+    @property
+    def lo(self):
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self):
+        return Fraction(self.hi_num, self.den)
 
     def rational_value(self):
         if self._value is None:
@@ -400,35 +430,45 @@ class AlgebraicNumber:
         return self._value
 
     def refine(self):
-        """One bisection step; may discover the value is rational."""
-        if self.is_rational:
-            v = self.rational_value()
-            width = (self.hi - self.lo) / 4
-            self.lo, self.hi = v - width, v + width
+        """One bisection step; may discover the value is rational.  A
+        rational keeps its value as the midpoint and halves its width."""
+        lo, hi, den = self.lo_num, self.hi_num, self.den
+        coeffs = self.coeffs
+        if len(coeffs) == 2:
+            # n/d -+ (hi - lo) / (4 den), over the denominator 4 den d
+            n, d = -coeffs[0], coeffs[1]
+            mid, half = 4 * den * n, d * (hi - lo)
+            lo, hi, den = mid - half, mid + half, 4 * den * d
+            g = gcd(lo, hi, den)
+            self.lo_num, self.hi_num, self.den = lo // g, hi // g, den // g
             return
-        m = (self.lo + self.hi) / 2
-        s = usign(self.coeffs, m)
+        m = lo + hi
+        if m & 1:
+            lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        else:
+            m >>= 1
+        s = usign(coeffs, m, den)
         if s == 0:
-            self.coeffs = (-m.numerator, m.denominator)
-            self._value = m
-            width = (self.hi - self.lo) / 4
-            self.lo, self.hi = m - width, m + width
+            g = gcd(m, den)
+            self.coeffs = (-(m // g), den // g)
+            # the root m/den -+ (hi - lo) / (4 den)
+            self.lo_num, self.hi_num, self.den = 4 * m - hi + lo, 4 * m + hi - lo, 4 * den
             self._sign_lo = -1
         elif s == self._sign_lo:
-            self.lo = m
+            self.lo_num, self.hi_num, self.den = m, hi, den
         else:
-            self.hi = m
+            self.lo_num, self.hi_num, self.den = lo, m, den
 
     def refine_below(self, width):
-        while self.hi - self.lo > width:
+        """Refine until the interval is at most width (a Fraction or an
+        int) wide."""
+        wn, wd = width.numerator, width.denominator
+        while (self.hi_num - self.lo_num) * wd > wn * self.den:
             self.refine()
-
-    def interval(self):
-        return self.lo, self.hi
 
     def approx(self, width=Fraction(1, 1 << 20)):
         self.refine_below(width)
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
     def __float__(self):
         if self.is_rational:
@@ -469,7 +509,7 @@ def algebraic_is_root(alpha, coeffs):
     if not f:
         return True
     if alpha.is_rational:
-        return usign(f, alpha.rational_value()) == 0
+        return usign(f, -alpha.coeffs[0], alpha.coeffs[1]) == 0
     g = ugcd(alpha.coeffs, f)
     if len(g) == 1:
         return False
@@ -478,36 +518,41 @@ def algebraic_is_root(alpha, coeffs):
     # g divides alpha's squarefree defining polynomial, so its only possible
     # root in alpha's interval is alpha itself, a simple root: a sign change
     while True:
-        s_lo, s_hi = usign(g, alpha.lo), usign(g, alpha.hi)
+        s_lo = usign(g, alpha.lo_num, alpha.den)
+        s_hi = usign(g, alpha.hi_num, alpha.den)
         if s_lo and s_hi:
             return s_lo != s_hi
         alpha.refine()
         if alpha.is_rational:
-            return usign(f, alpha.rational_value()) == 0
+            return usign(f, -alpha.coeffs[0], alpha.coeffs[1]) == 0
 
 
 def compare(a, b):
     """Total order on real algebraic numbers: -1, 0, +1, decided exactly."""
     if a is b:
         return 0
-    if a.is_rational and b.is_rational:
-        va, vb = a.rational_value(), b.rational_value()
-        return -1 if va < vb else (1 if va > vb else 0)
-    if a.is_rational:
-        return -compare_rational(b, a.rational_value())
-    if b.is_rational:
-        return compare_rational(a, b.rational_value())
-    g = ugcd(a.coeffs, b.coeffs)
+    ac, bc = a.coeffs, b.coeffs
+    if len(ac) == 2:
+        if len(bc) == 2:
+            x, y = -ac[0] * bc[1], -bc[0] * ac[1]
+            return (x > y) - (x < y)
+        return -_compare_ratio(b, -ac[0], ac[1])
+    if len(bc) == 2:
+        return _compare_ratio(a, -bc[0], bc[1])
+    g = ugcd(ac, bc)
     can_be_equal = len(g) > 1
     while True:
-        if a.hi <= b.lo:
+        alo, ahi, ad = a.lo_num, a.hi_num, a.den
+        blo, bhi, bd = b.lo_num, b.hi_num, b.den
+        if ahi * bd <= blo * ad:
             return -1
-        if b.hi <= a.lo:
+        if bhi * ad <= alo * bd:
             return 1
         if can_be_equal:
             # g has at most one root in the overlap, a simple one, and if it
             # has one that root is a and b at once
-            s_c, s_d = usign(g, max(a.lo, b.lo)), usign(g, min(a.hi, b.hi))
+            s_c = usign(g, alo, ad) if alo * bd >= blo * ad else usign(g, blo, bd)
+            s_d = usign(g, ahi, ad) if ahi * bd <= bhi * ad else usign(g, bhi, bd)
             if s_c and s_d and s_c != s_d:
                 return 0
         a.refine()
@@ -517,19 +562,24 @@ def compare(a, b):
 
 
 def compare_rational(a, q):
-    """Sign of a - q for rational q.
+    """Sign of a - q for rational q (a Fraction or an int).
 
     Inside the isolating interval, one sign evaluation at q decides: the
     defining polynomial changes sign only at a."""
-    q = _fraction(q)
-    if a.is_rational:
-        v = a.rational_value()
-        return -1 if v < q else (1 if v > q else 0)
-    if a.hi <= q:
+    return _compare_ratio(a, q.numerator, q.denominator)
+
+
+def _compare_ratio(a, n, d):
+    """Sign of a - n/d (d > 0), on integers."""
+    coeffs = a.coeffs
+    if len(coeffs) == 2:
+        x, y = -coeffs[0] * d, n * coeffs[1]
+        return (x > y) - (x < y)
+    if a.hi_num * d <= n * a.den:
         return -1
-    if a.lo >= q:
+    if a.lo_num * d >= n * a.den:
         return 1  # the root lies strictly above lo
-    s = usign(a.coeffs, q)
+    s = usign(coeffs, n, d)
     if s == 0:
         return 0
     return 1 if s == a._sign_lo else -1
@@ -553,7 +603,7 @@ def isolate_coeffs(coeffs):
     roots.sort(key=cmp_to_key(compare))
     # the list is sorted, so disjoint neighbours make every pair disjoint
     for a, b in zip(roots, roots[1:]):
-        while a.hi > b.lo:
+        while a.hi_num * b.den > b.lo_num * a.den:
             a.refine()
             b.refine()
     return roots
@@ -659,21 +709,21 @@ def _specialise(p, values, vi=None):
     """Integer coefficients of p at a rational point, in the variable at
     position vi (one entry when vi is None).
 
-    values maps positions of p's order to Fractions n/d and must cover
-    every variable of p but vi.  Each term c x^e is scaled by den(p) *
-    prod d_i^deg_i(p), den(p) the lcm of p's coefficient denominators, so it
-    contributes the integer c den(p) prod n_i^e_i d_i^(deg_i - e_i).  The
+    values maps positions of p's order to rationals n/d as pairs (n, d),
+    d > 0, and must cover every variable of p but vi.  Each term c x^e is
+    scaled by den(p) * prod d_i^deg_i(p), den(p) the lcm of p's coefficient
+    denominators, so it contributes the integer
+    c den(p) prod n_i^e_i d_i^(deg_i - e_i).  The
     factor is positive: the result has the signs, roots and primitive part
     of the Fraction specialisation."""
     terms = p.terms
     den = lcm(*(c.denominator for c in terms.values()))
-    degs = [max(col) for col in zip(*terms)]
+    degs = p.degrees()
     tables = []
-    for i, q in values.items():
+    for i, (n, d) in values.items():
         deg = degs[i]
         if not deg:
             continue
-        n, d = q.numerator, q.denominator
         if d == 1:
             tables.append((i, [n ** e for e in range(deg + 1)]))
         else:
@@ -702,18 +752,22 @@ def interval_eval(p, boxes):
 
     Each term's interval is the exact range of the term over the box, and
     the sum of the terms' lower (upper) ends is returned."""
-    lo, hi, scale = _interval_sums(p, boxes)
+    triples = {}
+    for v, (lo, hi) in boxes.items():
+        D = lcm(lo.denominator, hi.denominator)
+        triples[v] = (lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator), D)
+    lo, hi, scale = _interval_sums(p, triples)
     return Fraction(lo, scale), Fraction(hi, scale)
 
 
 def _interval_sums(p, boxes):
-    """interval_eval(p, boxes) on integers: (lo, hi, scale) with the interval
+    """interval_eval(p, boxes) on integers, with each box given as
+    (a, b, D) for (a/D, b/D), D > 0: (lo, hi, scale) with the interval
     (lo/scale, hi/scale), scale > 0.
 
-    The box is scaled to one denominator D_i per variable and the
-    coefficients to one denominator, and each term is homogenised by
-    D_i^(deg_i - e_i), so every sum is on integers and scale is the lcm of
-    the coefficient denominators times prod D_i^deg_i."""
+    The coefficients are scaled to one denominator, and each term is
+    homogenised by D_i^(deg_i - e_i), so every sum is on integers and scale
+    is the lcm of the coefficient denominators times prod D_i^deg_i."""
     terms = p.terms
     if not terms:
         return 0, 0, 1
@@ -721,12 +775,10 @@ def _interval_sums(p, boxes):
     den = lcm(*(c.denominator for c in terms.values()))
     scale = den
     powers = []  # per variable of p: (position, [range of D^(deg-e) x^e])
-    for i, deg in enumerate(max(col) for col in zip(*terms)):
+    for i, deg in enumerate(p.degrees()):
         if not deg:
             continue
-        lo, hi = boxes[names[i]]
-        D = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+        a, b, D = boxes[names[i]]
         table = [(D ** deg, D ** deg)]
         for e in range(1, deg + 1):
             f = D ** (deg - e)
@@ -793,19 +845,22 @@ def sign_at_map(p, coord_map, memo):
     """Exact sign of p at the point given by coord_map (var -> AlgebraicNumber);
     memo is the resultant memo of the coordinates' SamplePoint.  At an
     all-rational point this is the sign of one integer sum (_specialise)."""
+    names = p.order.names
     rational = {}
     algebraic = []
-    for v in sorted(p.variables(), key=p.order.index):
-        alpha = coord_map[v]
-        if alpha.is_rational:
-            rational[v] = alpha.rational_value()
-        else:
-            algebraic.append((v, alpha))
+    for i, e in enumerate(p.degrees()):
+        if e:
+            alpha = coord_map[names[i]]
+            if alpha.is_rational:
+                rational[i] = alpha
+            else:
+                algebraic.append((names[i], alpha))
     if not algebraic:
-        index = p.order.index
-        value = _specialise(p, {index(v): q for v, q in rational.items()})[0]
+        value = _specialise(p, {i: (-a.coeffs[0], a.coeffs[1])
+                                for i, a in rational.items()})[0]
         return (value > 0) - (value < 0)
-    q = p.evaluate(rational) if rational else p
+    q = p.evaluate({names[i]: a.rational_value() for i, a in rational.items()}) \
+        if rational else p
     if q.is_constant():
         c = q.constant_value()
         return 0 if c == 0 else (1 if c > 0 else -1)
@@ -816,15 +871,16 @@ def sign_at_map(p, coord_map, memo):
             defining = _value_defining(q, algebraic, memo)
             if defining[0] == 0:
                 others = [r for r in isolate_coeffs(defining)
-                          if not (r.is_rational and r.rational_value() == 0)]
-        lo, hi, scale = _interval_sums(q, {v: a.interval() for v, a in algebraic})
+                          if not (r.is_rational and r.coeffs[0] == 0)]
+        lo, hi, scale = _interval_sums(
+            q, {v: (a.lo_num, a.hi_num, a.den) for v, a in algebraic})
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         if others is not None:
-            lo, hi = Fraction(lo, scale), Fraction(hi, scale)
-            overlapping = [r for r in others if r.hi > lo and r.lo < hi]
+            overlapping = [r for r in others
+                           if r.hi_num * scale > lo * r.den and r.lo_num * scale < hi * r.den]
             if not overlapping:
                 return 0
             for r in overlapping:
@@ -856,10 +912,18 @@ def roots_above(p, s, v):
     """
     if p.is_zero():
         return IDENTICALLY_ZERO
-    cmap = {name: s.coordinate(name) for name in sorted(p.variables()) if name != v}
-    key = (p, v, tuple(a.coeffs if a.is_rational else a for a in cmap.values()))
+    order = p.order
+    vi = order.index(v)
+    read = [i for i, e in enumerate(p.degrees()) if e and i != vi]
+    at = read if order == s.order else [s.order.index(order.names[i]) for i in read]
+    try:
+        values = [s.coords[j] for j in at]
+    except IndexError:
+        raise RealAlgebraError("sample point does not cover the variables of %s" % p) from None
+    key = (p, v, tuple([a.coeffs if len(a.coeffs) == 2 else a for a in values]))
     roots = s.memo.get(key)
     if roots is None:
+        cmap = {order.names[i]: a for i, a in zip(read, values)}
         roots = s.memo[key] = _isolate_above(p, cmap, v, s.memo)
     return roots
 
@@ -867,18 +931,19 @@ def roots_above(p, s, v):
 def _isolate_above(p, cmap, v, memo):
     """roots_above(p, s, v) computed afresh; cmap maps p's variables other
     than v to s's coordinates, memo is s.memo."""
-    rational = {n: a.rational_value() for n, a in cmap.items() if a.is_rational}
+    rational = {n: a for n, a in cmap.items() if a.is_rational}
     if len(rational) == len(cmap):
         # an all-rational prefix: the integer tuple in v straight from p's
         # terms, a positive multiple of the Fraction specialisation
         index = p.order.index
-        univ = trim(_specialise(p, {index(n): q for n, q in rational.items()}, index(v)))
+        univ = trim(_specialise(p, {index(n): (-a.coeffs[0], a.coeffs[1])
+                                    for n, a in rational.items()}, index(v)))
         if not univ:
             return IDENTICALLY_ZERO
         if len(univ) == 1:
             return []
         return isolate_coeffs(univ)
-    q = p.evaluate(rational) if rational else p
+    q = p.evaluate({n: a.rational_value() for n, a in rational.items()}) if rational else p
     algebraic = [(n, a) for n, a in cmap.items()
                  if not a.is_rational and n in q.variables()]
     algebraic.sort(key=lambda item: p.order.index(item[0]))

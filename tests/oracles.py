@@ -6,6 +6,7 @@ sequences on Fraction lists (vs Descartes bisection), so agreement is
 meaningful.
 """
 
+import math
 from fractions import Fraction
 
 from cadec.polynomial import Polynomial, VarOrder
@@ -348,3 +349,137 @@ def reference_truth_assign(tree, f):
     for leaf in tree.leaves():
         leaf.truth = matrix.evaluate(lambda p, c=leaf: sign_of(c, p))
     return tree
+
+
+# ---------------------------------------------------------------------------
+# isolating intervals on Fraction endpoints: realalg's refinement,
+# comparison, merge and lifting's sector samples in plain Fraction
+# arithmetic, with signs from Fraction Horner evaluation
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+class ReferenceNumber:
+    """A copy of an AlgebraicNumber's state (defining tuple, interval as two
+    Fractions) that refines by Fraction midpoints.  Equal answers and equal
+    endpoints after every step show that integer endpoints change no
+    value."""
+
+    def __init__(self, alpha):
+        self.coeffs = tuple(alpha.coeffs)
+        self.lo, self.hi = Fraction(alpha.lo), Fraction(alpha.hi)
+        # a defining polynomial d x - n is negative below its root
+        self.sign_lo = -1 if self.is_rational else _sign(_eval(self.coeffs, self.lo))
+
+    @property
+    def is_rational(self):
+        return len(self.coeffs) == 2
+
+    def value(self):
+        return Fraction(-self.coeffs[0], self.coeffs[1])
+
+    def refine(self):
+        if self.is_rational:
+            v, width = self.value(), (self.hi - self.lo) / 4
+            self.lo, self.hi = v - width, v + width
+            return
+        m = (self.lo + self.hi) / 2
+        s = _sign(_eval(self.coeffs, m))
+        if s == 0:
+            width = (self.hi - self.lo) / 4
+            self.coeffs = (-m.numerator, m.denominator)
+            self.lo, self.hi = m - width, m + width
+            self.sign_lo = -1
+        elif s == self.sign_lo:
+            self.lo = m
+        else:
+            self.hi = m
+
+
+def reference_compare_rational(a, q):
+    """Sign of a - q for a ReferenceNumber a and a rational q."""
+    q = Fraction(q)
+    if a.is_rational:
+        return _sign(a.value() - q)
+    if a.hi <= q:
+        return -1
+    if a.lo >= q:
+        return 1
+    s = _sign(_eval(a.coeffs, q))
+    return 0 if s == 0 else (1 if s == a.sign_lo else -1)
+
+
+def reference_compare(a, b):
+    """Sign of a - b for ReferenceNumbers, refining both as realalg.compare
+    does."""
+    from cadec.polynomial import ugcd
+
+    if a is b:
+        return 0
+    if a.is_rational and b.is_rational:
+        return _sign(a.value() - b.value())
+    if a.is_rational:
+        return -reference_compare_rational(b, a.value())
+    if b.is_rational:
+        return reference_compare_rational(a, b.value())
+    g = ugcd(a.coeffs, b.coeffs)
+    while True:
+        if a.hi <= b.lo:
+            return -1
+        if b.hi <= a.lo:
+            return 1
+        if len(g) > 1:
+            s_c = _sign(_eval(g, max(a.lo, b.lo)))
+            s_d = _sign(_eval(g, min(a.hi, b.hi)))
+            if s_c and s_d and s_c != s_d:
+                return 0
+        a.refine()
+        b.refine()
+        if a.is_rational or b.is_rational:
+            return reference_compare(a, b)
+
+
+def reference_merge_roots(groups):
+    """realalg.merge_roots on ReferenceNumbers: (sorted roots, contributors)."""
+    merged, contributors = [], []
+    for gi, group in enumerate(groups):
+        for r in group:
+            for i, m in enumerate(merged):
+                c = reference_compare(r, m)
+                if c == 0:
+                    contributors[i].add(gi)
+                    break
+                if c < 0:
+                    merged.insert(i, r)
+                    contributors.insert(i, {gi})
+                    break
+            else:
+                merged.append(r)
+                contributors.append({gi})
+    return merged, contributors
+
+
+def reference_sector_samples(roots):
+    """lifting._sector_samples on sorted ReferenceNumbers, in Fractions."""
+    def lower(r):
+        return r.value() if r.is_rational else r.lo
+
+    def upper(r):
+        return r.value() if r.is_rational else r.hi
+
+    if not roots:
+        return [Fraction(0)]
+    samples = [Fraction(math.floor(lower(roots[0]))) - 1]
+    for a, b in zip(roots, roots[1:]):
+        while True:
+            hi, lo = upper(a), lower(b)
+            if hi < lo or (hi == lo and not a.is_rational and not b.is_rational):
+                break
+            for r in (a, b):
+                if not r.is_rational:
+                    r.refine()
+        samples.append((hi + lo) / 2)
+    samples.append(Fraction(math.ceil(upper(roots[-1]))) + 1)
+    return samples

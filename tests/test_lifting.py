@@ -311,3 +311,31 @@ def test_cells_make_signs_and_children_on_demand():
     truth_assign(tree, f)
     sector = next(leaf for leaf in tree.leaves() if not leaf.is_section())
     assert sector._signs and all(s in (-1, 1) for s in sector.signs.values())
+
+
+@pytest.mark.parametrize("mode", ["si", "ec-res"])
+def test_sector_samples_match_fraction_reference(monkeypatch, mode):
+    # every stack of every corpus CAD: the samples, and the roots' intervals
+    # after separation, equal those of Fraction arithmetic on the same roots
+    from cadec import lifting
+    from cadec.bench import MODE_POLICY
+    from corpus import load_corpus
+    from oracles import ReferenceNumber, reference_sector_samples
+
+    real = lifting._sector_samples
+    stacks = []
+
+    def checked(roots):
+        refs = [ReferenceNumber(r) for r in roots]
+        samples = real(roots)
+        assert samples == reference_sector_samples(refs)
+        assert all((r.coeffs, r.lo, r.hi) == (ref.coeffs, ref.lo, ref.hi)
+                   for r, ref in zip(roots, refs))
+        stacks.append(len(roots))
+        return samples
+
+    monkeypatch.setattr(lifting, "_sector_samples", checked)
+    policy, ec_mode = MODE_POLICY[mode]
+    for _, f, _ in load_corpus():
+        build_cad(plan_projection(f, f.order, policy, ec_mode=ec_mode))
+    assert len(stacks) > 100 and max(stacks) >= 4

@@ -303,3 +303,34 @@ def test_resultant_sylvester_oracle_mixed_coefficients():
         assert not _all_int(q)
         assert resultant(p, q, "z") == sylvester_resultant(p, q, "z")
         checked += 1
+
+
+def _degrees_from_terms(p):
+    return tuple(max((e[i] for e in p.terms), default=0) for i in range(len(p.order)))
+
+
+def _assert_degree_cache(p):
+    # read twice: the cached vector and the set derived from it
+    for _ in range(2):
+        degrees = _degrees_from_terms(p)
+        assert p.degrees() == degrees
+        assert p.variables() == {n for n, d in zip(p.order.names, degrees) if d}
+        assert all(p.degree_in(n) == d for n, d in zip(p.order.names, degrees))
+    assert isinstance(p.variables(), frozenset)
+
+
+def test_degree_vector_matches_terms():
+    rng = random.Random(1205)
+    _assert_degree_cache(Polynomial.zero(O3))
+    _assert_degree_cache(Polynomial.constant(O3, 5))
+    _assert_degree_cache(Polynomial.constant(O3, Fraction(2, 3)))
+    assert Polynomial.zero(O3).main_variable() is None
+    for _ in range(40):
+        p, q = random_poly(O3, rng), random_poly(O3, rng)
+        for r in (p + q, p - q, p * q, p ** 2, p ** 0, p - p, -p, p * Fraction(1, 2),
+                  exact_div(p * q, q) if not q.is_zero() else q,
+                  p.evaluate({"y": Fraction(rng.randint(-3, 3), rng.randint(1, 3))}),
+                  p.evaluate({"z": 0, "y": 1, "x": 2})):
+            _assert_degree_cache(r)
+            main = r.main_variable()
+            assert main == (max(r.variables(), key=O3.index) if r.variables() else None)

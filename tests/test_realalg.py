@@ -602,3 +602,136 @@ def test_chain_over_reducible_defining_polynomial(time_budget):
                 for w in signed:
                     expected = _sturm_sign(u, image(w, a), rho.lo, rho.hi)
                     assert sign_at(parse_poly(w, order), point) == expected
+
+
+# ---------------------------------------------------------------------------
+# integer isolating intervals against a Fraction-endpoint reference
+
+
+# factors shared between polynomials, so equal roots meet across groups;
+# x^2 - 2 and x^2 - 3 isolate in closed form to (1, 3/2) and (3/2, 2), so
+# the rationals 1, 3/2 and 2 sit on irrational neighbours' endpoints
+_FACTORS = [(-2, 0, 1), (-3, 0, 1), (-11, 0, 5), (-1, 1), (-3, 2), (-2, 1),
+            (-1, -1, 0, 1), (-7, 0, 3), (1, 1), (3, 2)]
+
+
+def _random_coeffs(rng):
+    """A random integer polynomial: a product of shared factors, a closed-form
+    quadratic with rational roots, or random coefficients of degree 1-6."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        coeffs = [1]
+        for _ in range(rng.randint(1, 3)):
+            coeffs = _poly_mul(coeffs, rng.choice(_FACTORS))
+        return tuple(coeffs)
+    if kind == 1:
+        p1, q1, p2, q2 = (rng.randint(-6, 6), rng.randint(1, 4),
+                          rng.randint(-6, 6), rng.randint(1, 4))
+        return tuple(_poly_mul([-p1, q1], [-p2, q2]))
+    deg = rng.randint(1, 6)
+    return tuple([rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)])
+
+
+def _same_state(alpha, ref):
+    return (alpha.coeffs, alpha.lo, alpha.hi) == (ref.coeffs, ref.lo, ref.hi)
+
+
+def _root_pool(rng, polys=40):
+    pool = []
+    while len(pool) < polys:
+        roots = isolate_coeffs(_random_coeffs(rng))
+        if roots:
+            pool.append(roots)
+    return pool
+
+
+def test_compare_matches_fraction_reference():
+    from oracles import ReferenceNumber, reference_compare, reference_compare_rational
+
+    rng = random.Random(1201)
+    roots = [r for group in _root_pool(rng) for r in group]
+    assert sum(r.is_rational for r in roots) and sum(not r.is_rational for r in roots)
+    equal = 0
+    for _ in range(600):
+        a, b = rng.choice(roots), rng.choice(roots)
+        ra = ReferenceNumber(a)
+        rb = ra if b is a else ReferenceNumber(b)
+        got = compare(a, b)
+        assert got == reference_compare(ra, rb)
+        assert _same_state(a, ra) and _same_state(b, rb)
+        equal += got == 0 and a is not b
+    assert equal  # shared factors give equal roots of different polynomials
+    for _ in range(600):
+        a = rng.choice(roots)
+        ref = ReferenceNumber(a)
+        q = rng.choice([ref.lo, ref.hi, (ref.lo + ref.hi) / 2,
+                        Fraction(rng.randint(-30, 30), rng.randint(1, 8)),
+                        rng.randint(-3, 3), Fraction(3, 2)])
+        assert compare_rational(a, q) == reference_compare_rational(ref, q)
+        assert _same_state(a, ref)
+
+
+def test_refine_matches_fraction_reference():
+    from oracles import ReferenceNumber
+
+    rng = random.Random(1202)
+    for group in _root_pool(rng):
+        for a in group:
+            ref = ReferenceNumber(a)
+            for _ in range(rng.randint(1, 14)):
+                a.refine()
+                ref.refine()
+                assert _same_state(a, ref) and a.is_rational == ref.is_rational
+
+
+def test_refine_discovers_rationals_as_the_reference_does():
+    # f = (q x - p) g with an interval around p/q whose ends are dyadic
+    # offsets from it, so some bisection point is p/q itself
+    from oracles import ReferenceNumber
+
+    rng = random.Random(1203)
+    found = 0
+    for _ in range(300):
+        p, q = rng.randint(-20, 20), rng.randint(1, 6)
+        g = rng.choice(_FACTORS + [(5, 0, 1), (1, 0, 2)])
+        if len(g) == 2:
+            g = _poly_mul(g, (1, 0, 1))
+        if value_at(g, Fraction(p, q)) == 0:
+            continue  # f would not be squarefree
+        f = tuple(_poly_mul([-p, q], g))
+        j = rng.randint(0, 5)
+        lo = Fraction(p, q) - Fraction(rng.randint(1, 7), 2 ** j)
+        hi = Fraction(p, q) + Fraction(rng.randint(1, 7), 2 ** j)
+        if value_at(f, lo) == 0 or value_at(f, hi) == 0 or sturm_count_between(f, lo, hi) != 1:
+            continue
+        den = lo.denominator * hi.denominator
+        alpha = AlgebraicNumber(f, lo.numerator * hi.denominator,
+                                hi.numerator * lo.denominator, den)
+        ref = ReferenceNumber(alpha)
+        assert _same_state(alpha, ref)
+        for _ in range(12):
+            was_rational = alpha.is_rational
+            alpha.refine()
+            ref.refine()
+            assert _same_state(alpha, ref)
+            if alpha.is_rational and not was_rational:
+                found += 1
+                assert alpha.rational_value() == Fraction(p, q)
+    assert found > 20
+
+
+def test_merge_roots_matches_fraction_reference():
+    from cadec.realalg import merge_roots
+    from oracles import ReferenceNumber, reference_merge_roots
+
+    rng = random.Random(1204)
+    for _ in range(80):
+        groups = [isolate_coeffs(_random_coeffs(rng)) for _ in range(rng.randint(1, 5))]
+        twins = {id(r): ReferenceNumber(r) for group in groups for r in group}
+        ref_groups = [[twins[id(r)] for r in group] for group in groups]
+        merged, contributors = merge_roots(groups)
+        ref_merged, ref_contributors = reference_merge_roots(ref_groups)
+        assert [twins[id(r)] for r in merged] == ref_merged
+        assert contributors == ref_contributors
+        for group in groups:
+            assert all(_same_state(r, twins[id(r)]) for r in group)
