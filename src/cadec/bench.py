@@ -36,16 +36,18 @@ def _default_base_map():
     return Polynomial.variable(t, "t") ** 2
 
 
-def _apply_map(f_poly, order, var):
-    """f(var) as a polynomial under the instance ordering."""
-    tvar = next(iter(f_poly.variables()))
-    coeffs = [c.constant_value() for c in f_poly.coeffs_in(tvar)]
-    x = Polynomial.variable(order, var)
-    acc = Polynomial.zero(order)
-    for i, c in enumerate(coeffs):
-        if c:
-            acc = acc + x ** i * c
-    return acc
+def _iterate_map(f, g, times):
+    """f(f(...f(g)...)), the univariate f applied times times to the
+    polynomial g; f's coefficients are read once."""
+    tvar = next(iter(f.variables()))
+    coeffs = [c.constant_value() for c in f.coeffs_in(tvar)]
+    for _ in range(times):
+        value = Polynomial.zero(g.order)
+        for i, c in enumerate(coeffs):
+            if c:
+                value = value + g ** i * c
+        g = value
+    return g
 
 
 def _eq(p):
@@ -105,7 +107,7 @@ def generate_dh(depth, f=None, form="prenex"):
     prefix = tuple(prefix)
 
     x_k = Polynomial.variable(order, "x%d" % depth)
-    final = _eq(x_k - _apply_map(f, order, "y%d" % depth))
+    final = _eq(x_k - _iterate_map(f, Polynomial.variable(order, "y%d" % depth), 1))
 
     if form == "nested":
         matrix = final
@@ -129,16 +131,8 @@ def dh_target(depth, f=None):
     if f is None:
         f = _default_base_map()
     order = dh_order(depth)
-    tvar = next(iter(f.variables()))
-    acc = Polynomial.variable(order, "y0")
-    for _ in range(2 ** depth):
-        coeffs = [c.constant_value() for c in f.coeffs_in(tvar)]
-        value = Polynomial.zero(order)
-        for i, c in enumerate(coeffs):
-            if c:
-                value = value + acc ** i * c
-        acc = value
-    return Polynomial.variable(order, "x0") - acc
+    return (Polynomial.variable(order, "x0")
+            - _iterate_map(f, Polynomial.variable(order, "y0"), 2 ** depth))
 
 
 def dh_equivalence_sentences(depth, f=None):

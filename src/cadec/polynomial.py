@@ -10,6 +10,15 @@ type plays no part in equality or hashing (3 == Fraction(3) and both hash
 alike).  Everything else in the package (root isolation, Groebner bases,
 projection, lifting) is built on the operations here.
 
+integer_image is the one reading of a polynomial as integers at a rational
+point: p's coefficients in one variable (or p's value), with every other
+variable it reads set to n_i/d_i, scaled by the positive factor den(p) prod
+d_i^deg_i(p), den(p) the lcm of p's coefficient denominators.  So it has
+the signs, roots and primitive part of the Fraction specialisation.  The
+gcd's coprimality test takes its images at integer points; realalg takes
+them at the rational coordinates of a sample point, and with an empty point
+it reads a univariate polynomial's coefficients as integers.
+
 poly_gcd first tries to prove a pair coprime in its main variable v on an
 integer image: every other variable is set to a small integer, at a point
 where neither leading coefficient in v vanishes, and the univariate gcd of
@@ -719,38 +728,58 @@ def ugcd(a, b):
     return (1,)
 
 
-def _image_points(n):
-    """The two evaluation points of the image test, for n variables: small
-    distinct integers, 2, 3, 4, ... and -3, -4, -5, ... by position."""
-    return [i + 2 for i in range(n)], [-(i + 3) for i in range(n)]
+def integer_image(p, point, vi=None):
+    """p's integer coefficients in the variable at position vi (one entry
+    when vi is None), with every other variable p reads set to the rational
+    point[i] = (n, d), d > 0, by position.
 
-
-def _image(p, vi, point):
-    """p with every variable but the one at position vi set to point[j]:
-    an integer tuple in that variable (scaled by the common denominator of
-    p's coefficients, which does not change its gcd)."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    image = [0] * (p.degree_in(p.order.names[vi]) + 1)
-    for expt, c in p.terms.items():
-        c = c.numerator * (den // c.denominator)
-        for j, e in enumerate(expt):
-            if e and j != vi:
-                c *= point[j] ** e
-        image[expt[vi]] += c
-    return image
+    Each term c x^e contributes c den(p) prod n_i^e_i d_i^(deg_i - e_i),
+    den(p) the lcm of p's coefficient denominators and deg_i p's degree in
+    the variable at position i.  So the image is the Fraction specialisation
+    times the positive factor den(p) prod d_i^deg_i: it has the same signs,
+    roots and primitive part.  Only the coordinates p reads are looked up,
+    so point may be a list or a dict, and is empty when p reads no variable
+    but the one at vi."""
+    terms = p.terms
+    den = 1 if {int}.issuperset(map(type, terms.values())) else \
+        lcm(*[c.denominator for c in terms.values()])
+    degs = p.degrees()
+    ints, fracs = [], []  # (i, n) at integer coordinates, (i, n, d, deg_i) at others
+    for i, deg in enumerate(degs):
+        if deg and i != vi:
+            n, d = point[i]
+            if d == 1:
+                ints.append((i, n))
+            else:
+                fracs.append((i, n, d, deg))
+    out = [0] * (1 if vi is None else degs[vi] + 1)
+    for expt, c in terms.items():
+        if den != 1:
+            c = c.numerator * (den // c.denominator)
+        for i, n in ints:
+            e = expt[i]
+            if e:
+                c *= n ** e
+        for i, n, d, deg in fracs:
+            e = expt[i]
+            c *= n ** e * d ** (deg - e)
+        out[0 if vi is None else expt[vi]] += c
+    return out
 
 
 def _coprime_image(p, q, v):
     """True when an image gcd of degree 0, at a point where neither
     leading coefficient in v vanishes, proves gcd(p, q) free of v.  False
     proves nothing: both points lost a leading coefficient or gave a
-    non-constant image gcd."""
+    non-constant image gcd.  The points are small distinct integers by
+    position: 2, 3, 4, ... and then -3, -4, -5, ..."""
     vi = p.order.index(v)
-    for point in _image_points(len(p.order)):
-        a = _image(p, vi, point)
+    n = len(p.order)
+    for point in ([(i + 2, 1) for i in range(n)], [(-(i + 3), 1) for i in range(n)]):
+        a = integer_image(p, point, vi)
         if not a[-1]:
             continue
-        b = _image(q, vi, point)
+        b = integer_image(q, point, vi)
         if b[-1] and len(ugcd(a, b)) == 1:
             return True
     return False
@@ -791,27 +820,21 @@ def poly_gcd(p, q):
     a = exact_div(p, cont_p)
     b = exact_div(q, cont_q)
     cont_g = poly_gcd(cont_p, cont_q)
+    # a and b are primitive in v throughout, b non-zero: the last non-zero
+    # remainder's primitive part is the primitive part of the gcd
     while True:
         da, db = a.degree_in(v), b.degree_in(v)
         if db == 0:
-            if b.is_zero():
-                g = a
-            else:
-                return integer_normalized(cont_g)
-            break
+            return integer_normalized(cont_g)
         if da < db:
             a, b = b, a
             continue
         r = pseudo_rem(a, b, v)
-        a = b
         if r.is_zero():
-            g = a
-            break
+            return integer_normalized(b * cont_g)
         # primitive part to keep coefficients small
         cont_r = _gcd_many([c for c in r.coeffs_in(v) if not c.is_zero()])
-        b = exact_div(r, cont_r)
-    g = exact_div(g, _gcd_many([c for c in g.coeffs_in(v) if not c.is_zero()]))
-    return integer_normalized(g * cont_g)
+        a, b = b, exact_div(r, cont_r)
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,11 @@ class ProjectionPlan:
     levels[k-1] describes level k (variable order.names[k-1]); ell is the
     number of levels carrying a designated EC."""
 
-    __slots__ = ("order", "levels", "input_polys")
+    __slots__ = ("order", "levels")
 
-    def __init__(self, order, levels, input_polys):
+    def __init__(self, order, levels):
         self.order = order
         self.levels = levels
-        self.input_polys = frozenset(input_polys)
 
     def level(self, k):
         return self.levels[k - 1]
@@ -319,4 +318,4 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
         levels[k - 1] = PlanLevel(k, v, projection_polys, lifting, ec, fallback)
         current = out
 
-    return ProjectionPlan(order, levels, inputs)
+    return ProjectionPlan(order, levels)

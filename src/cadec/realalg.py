@@ -38,14 +38,20 @@ isolate_coeffs takes the squarefree part of its input, then:
 At a rational point no Fraction arithmetic is needed either.  Where every
 coordinate of p other than the lifting variable is a rational n_i/d_i,
 roots_above builds the integer tuple in that variable straight from p's terms
-(_specialise): each term is scaled by the lcm of p's coefficient
-denominators times prod d_i^deg_i(p).  The factor is positive, so the
-primitive part, and with it every defining polynomial and isolating
+with polynomial.integer_image: each term is scaled by the lcm of p's
+coefficient denominators times prod d_i^deg_i(p).  The factor is positive,
+so the primitive part, and with it every defining polynomial and isolating
 interval, equals that of the Fraction specialisation; sign_at at an
-all-rational point is the sign of one such integer sum.  interval_eval
-scales each box to one denominator per variable and homogenises each term
-to p's degree in it, so the sums are on integers and the one division at the
-end gives the same exact interval.
+all-rational point is the sign of one such integer sum.  sign_at_map and
+roots_above split a point the same way (_split_point): the rational
+coordinates as (n, d) pairs by position, and the algebraic ones p still
+reads once the rational ones are put in, in the variable order.  Every
+univariate Polynomial (the input of isolate_real_roots, a chain's last
+polynomial, the gcd whose roots the chain tests) is read as integers by the
+same kernel with an empty point, a positive multiple of its coefficients.
+interval_eval scales each box to one denominator per variable and
+homogenises each term to p's degree in it, so the sums are on integers and
+the one division at the end gives the same exact interval.
 
 Roots are separated from their neighbours only.  isolate_coeffs sorts its
 roots by exact comparison and refines adjacent intervals until they are
@@ -110,6 +116,7 @@ from .polynomial import (
     ZeroPolynomialError,
     PolynomialError,
     exact_div,
+    integer_image,
     poly_gcd,
     primitive,
     resultant,
@@ -649,9 +656,7 @@ def isolate_real_roots(p):
         raise RealAlgebraError("isolate_real_roots needs a univariate polynomial")
     if not vs:
         return []
-    v = next(iter(vs))
-    coeffs = tuple(c.constant_value() for c in p.coeffs_in(v))
-    return isolate_coeffs(coeffs)
+    return isolate_coeffs(integer_image(p, (), p.order.index(next(iter(vs)))))
 
 
 # ---------------------------------------------------------------------------
@@ -703,38 +708,6 @@ class SamplePoint:
     def __repr__(self):
         return "SamplePoint(%s)" % ", ".join(
             "%s=%s" % (n, c) for n, c in zip(self.order.names, self.coords))
-
-
-def _specialise(p, values, vi=None):
-    """Integer coefficients of p at a rational point, in the variable at
-    position vi (one entry when vi is None).
-
-    values maps positions of p's order to rationals n/d as pairs (n, d),
-    d > 0, and must cover every variable of p but vi.  Each term c x^e is
-    scaled by den(p) * prod d_i^deg_i(p), den(p) the lcm of p's coefficient
-    denominators, so it contributes the integer
-    c den(p) prod n_i^e_i d_i^(deg_i - e_i).  The
-    factor is positive: the result has the signs, roots and primitive part
-    of the Fraction specialisation."""
-    terms = p.terms
-    den = lcm(*(c.denominator for c in terms.values()))
-    degs = p.degrees()
-    tables = []
-    for i, (n, d) in values.items():
-        deg = degs[i]
-        if not deg:
-            continue
-        if d == 1:
-            tables.append((i, [n ** e for e in range(deg + 1)]))
-        else:
-            tables.append((i, [n ** e * d ** (deg - e) for e in range(deg + 1)]))
-    out = [0] * (1 if vi is None else degs[vi] + 1)
-    for expt, c in terms.items():
-        c = c.numerator * (den // c.denominator)
-        for i, table in tables:
-            c *= table[expt[i]]
-        out[expt[vi] if vi is not None else 0] += c
-    return out
 
 
 def _int_pow_range(lo, hi, e):
@@ -841,30 +814,42 @@ def _defining_poly(alpha, var, order):
     return Polynomial(order, terms)
 
 
+def _split_point(p, coord_map, vi=None):
+    """p's coordinates in coord_map (var -> AlgebraicNumber), at the
+    variables p reads other than the one at position vi, as (point, q,
+    algebraic).  point holds the rational coordinates as (n, d) pairs by
+    position.  When every coordinate is rational, q is None and
+    integer_image(p, point, vi) is p at the point.  Otherwise q is p with the
+    rational coordinates put in, and algebraic lists (var, alpha) for the
+    coordinates q still reads, by position."""
+    names = p.order.names
+    point, algebraic = {}, []
+    for i, e in enumerate(p.degrees()):
+        if e and i != vi:
+            alpha = coord_map[names[i]]
+            c = alpha.coeffs
+            if len(c) == 2:
+                point[i] = (-c[0], c[1])
+            else:
+                algebraic.append((i, alpha))
+    if not algebraic:
+        return point, None, algebraic
+    q = p.evaluate({names[i]: Fraction(n, d) for i, (n, d) in point.items()}) if point else p
+    degs = q.degrees()
+    return point, q, [(names[i], alpha) for i, alpha in algebraic if degs[i]]
+
+
 def sign_at_map(p, coord_map, memo):
     """Exact sign of p at the point given by coord_map (var -> AlgebraicNumber);
     memo is the resultant memo of the coordinates' SamplePoint.  At an
-    all-rational point this is the sign of one integer sum (_specialise)."""
-    names = p.order.names
-    rational = {}
-    algebraic = []
-    for i, e in enumerate(p.degrees()):
-        if e:
-            alpha = coord_map[names[i]]
-            if alpha.is_rational:
-                rational[i] = alpha
-            else:
-                algebraic.append((names[i], alpha))
-    if not algebraic:
-        value = _specialise(p, {i: (-a.coeffs[0], a.coeffs[1])
-                                for i, a in rational.items()})[0]
+    all-rational point this is the sign of one integer sum (integer_image)."""
+    point, q, algebraic = _split_point(p, coord_map)
+    if q is None:
+        value = integer_image(p, point)[0]
         return (value > 0) - (value < 0)
-    q = p.evaluate({names[i]: a.rational_value() for i, a in rational.items()}) \
-        if rational else p
     if q.is_constant():
         c = q.constant_value()
         return 0 if c == 0 else (1 if c > 0 else -1)
-    algebraic = [(v, a) for v, a in algebraic if v in q.variables()]
     others = None
     for rounds in count():
         if rounds == 4:
@@ -931,36 +916,29 @@ def roots_above(p, s, v):
 def _isolate_above(p, cmap, v, memo):
     """roots_above(p, s, v) computed afresh; cmap maps p's variables other
     than v to s's coordinates, memo is s.memo."""
-    rational = {n: a for n, a in cmap.items() if a.is_rational}
-    if len(rational) == len(cmap):
+    vi = p.order.index(v)
+    point, q, algebraic = _split_point(p, cmap, vi)
+    if q is None:
         # an all-rational prefix: the integer tuple in v straight from p's
         # terms, a positive multiple of the Fraction specialisation
-        index = p.order.index
-        univ = trim(_specialise(p, {index(n): (-a.coeffs[0], a.coeffs[1])
-                                    for n, a in rational.items()}, index(v)))
+        univ = trim(integer_image(p, point, vi))
         if not univ:
             return IDENTICALLY_ZERO
         if len(univ) == 1:
             return []
         return isolate_coeffs(univ)
-    q = p.evaluate({n: a.rational_value() for n, a in rational.items()}) if rational else p
-    algebraic = [(n, a) for n, a in cmap.items()
-                 if not a.is_rational and n in q.variables()]
-    algebraic.sort(key=lambda item: p.order.index(item[0]))
 
-    coeffs = q.coeffs_in(v)
     coeff_signs = [
         c.constant_value() != 0 if c.is_constant()
-        else sign_at_map(c, dict(cmap), memo) != 0
-        for c in coeffs]
+        else sign_at_map(c, cmap, memo) != 0
+        for c in q.coeffs_in(v)]
     if not any(coeff_signs):
         return IDENTICALLY_ZERO
     if not any(coeff_signs[1:]):
         return []
 
     if not algebraic:
-        univ = [c.constant_value() for c in coeffs]
-        return isolate_coeffs(trim(univ))
+        return isolate_coeffs(integer_image(q, (), vi))
 
     candidates = _candidate_defining(q, v, algebraic, memo)
     roots = []
@@ -1011,11 +989,11 @@ def _candidate_defining(q, v, algebraic, memo):
                 P = R
                 break
             g = poly_gcd(d, P)
-            if algebraic_is_root(alpha, tuple(c.constant_value() for c in g.coeffs_in(var))):
+            if algebraic_is_root(alpha, integer_image(g, (), g.order.index(var))):
                 P = exact_div(P, g)
             else:
                 d = exact_div(d, g)
-    coeffs = trim([c.constant_value() for c in P.coeffs_in(v)])
+    coeffs = trim(integer_image(P, (), P.order.index(v)))
     if len(coeffs) < 2:
         raise RealAlgebraError(
             "could not build a candidate defining polynomial: the chain ended in a constant")

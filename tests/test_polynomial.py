@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
 from cadec.polynomial import (
     ExactDivisionError, ParseError, Polynomial, VarOrder, _coprime_image,
-    content_primitive, discriminant, divides, exact_div, integer_normalized,
-    is_primitive, parse_poly, poly_gcd, poly_to_str, pseudo_rem, resultant,
+    content_primitive, discriminant, divides, exact_div, integer_image,
+    integer_normalized, is_primitive, parse_poly, poly_gcd, poly_to_str, pseudo_rem, resultant,
     squarefree_basis, squarefree_part,
 )
 from oracles import sylvester_resultant
@@ -127,6 +128,39 @@ def test_gcd_image_fallbacks():
     # coprime in x, with a common content
     assert _coprime_image(P("(y + 1)*x"), P("(y + 1)*(x + 1)"), "x")
     assert poly_gcd(P("(y + 1)*x"), P("(y + 1)*(x + 1)")) == P("y + 1")
+
+
+def test_integer_image_is_the_scaled_specialisation():
+    # integer_image(p, point, vi) equals den(p) * prod d_i^deg_i(p) times the
+    # Fraction specialisation p.evaluate(...), over the coordinates other
+    # than vi, exactly: int and Fraction coefficients, integer and
+    # non-integer coordinates, vi None and every position
+    rng = random.Random(29)
+    names = O3.names
+    for trial in range(150):
+        p = random_poly(O3, rng)
+        if trial % 2:
+            p = p + random_poly(O3, rng, terms=2) * Fraction(1, rng.randint(2, 7))
+        point = [(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4))) for _ in names]
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        degs = p.degrees()
+        for vi in (None, 0, 1, 2):
+            others = [i for i in range(len(names)) if i != vi]
+            spec = p.evaluate({names[i]: Fraction(*point[i]) for i in others})
+            scale = den * prod(point[i][1] ** degs[i] for i in others)
+            if vi is None:
+                expected = [spec.constant_value() * scale]
+            else:
+                expected = [0] * (degs[vi] + 1)
+                for e, c in enumerate(spec.coeffs_in(names[vi])):
+                    expected[e] = c.constant_value() * scale
+            got = integer_image(p, point, vi)
+            assert got == expected
+            assert all(type(c) is int for c in got)
+            # the point is read only where p reads a variable
+            assert integer_image(p, {i: point[i] for i in others if degs[i]}, vi) == got
+    # a univariate polynomial reads its coefficients with an empty point
+    assert integer_image(P("1/2*x^2 - 3/4"), (), 1) == [-3, 0, 2]
 
 
 def test_content_primitive_examples():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -382,7 +383,12 @@ def test_value_defining_matches_reference():
         for name in names[:k]:
             q = q + rng.choice((-2, -1, 1, 3)) * Polynomial.variable(order, name)
         got = _value_defining(q, coords, {})
-        assert got == reference_value_defining(q, coords, {})
+        # the integer image of the reference's Fraction tuple: scaled by the
+        # lcm of its denominators, a positive factor
+        ref = reference_value_defining(q, coords, {})
+        den = lcm(*(c.denominator for c in ref))
+        assert got == tuple(c * den for c in ref)
+        assert all(type(c) is int for c in got)
         assert len(got) > 1
 
 
