@@ -29,6 +29,17 @@ the gcd of the contents in v.  The test is exact, not heuristic.  Otherwise
 (both points lost a leading coefficient, or gave a non-constant image gcd)
 a primitive PRS computes the gcd.  Most pairs of a squarefree basis are
 coprime and never reach the PRS.
+
+One pseudo-remainder kernel, _prem, serves every remainder sequence: the
+subresultant PRS of resultant, the primitive PRS of poly_gcd, and ugcd on
+integer tuples (the image gcd here, the defining polynomials of realalg).
+It works on dense coefficient lists in the main variable, lowest degree
+first, whose entries are ints or Polynomials free of that variable; the
+sparse sequences split their inputs with coeffs_in once, divide each
+remainder coefficient by coefficient (by the subresultant divisor, or by
+its content over Z, whose integer factor keeps the primitive PRS's
+coefficients small), and rebuild a Polynomial with from_coeffs only where
+one is returned.
 """
 
 from __future__ import annotations
@@ -195,6 +206,9 @@ class Polynomial:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         # the term map is canonical: a non-zero constant is one term at 0
@@ -619,6 +633,8 @@ def exact_div(p, q):
         raise ZeroPolynomialError("division by zero polynomial")
     if q.is_constant():
         k = q.constant_value()
+        if k == 1:
+            return p
         return Polynomial(p.order, {e: coeff_quotient(c, k) for e, c in p.terms.items()},
                           _clean=True)
     order = p.order
@@ -645,34 +661,38 @@ def divides(q, p):
         return False
 
 
-def pseudo_rem(p, q, v):
-    """Pseudo-remainder of p by q with respect to v: lc(q)^(dp-dq+1)*p mod q."""
-    dp = p.degree_in(v)
-    dq = q.degree_in(v)
-    if dp < dq:
-        return p
-    lc_q = q.leading_coeff_in(v)
-    rem = p
-    order = p.order
+def from_coeffs(coeffs, v, order):
+    """The polynomial sum of coeffs[k] v^k, each coeffs[k] free of v."""
     i = order.index(v)
-    steps = 0
-    while not rem.is_zero():
-        dr = rem.degree_in(v)
-        if dr < dq:
-            break
-        lc_r = rem.leading_coeff_in(v)
-        # q * lc_r * v^(dr - dq), by shifting the exponents of v
-        k = dr - dq
-        shifted = {e[:i] + (e[i] + k,) + e[i + 1:]: c
-                   for e, c in (q * lc_r).terms.items()}
-        rem = rem * lc_q - Polynomial(order, shifted, _clean=True)
-        steps += 1
-    # The classical definition scales by exactly lc(q)^(dp-dq+1); pad when
-    # intermediate degrees dropped by more than one.
-    missing = (dp - dq + 1) - steps
-    if missing > 0 and not rem.is_zero():
-        rem = rem * lc_q ** missing
-    return rem
+    return Polynomial(order, {e[:i] + (k,) + e[i + 1:]: x
+                              for k, c in enumerate(coeffs) for e, x in c.terms.items()},
+                      _clean=True)
+
+
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(da - db + 1) * a modulo b, da and db the
+    degrees of a and b, on coefficient lists (lowest degree first) whose
+    entries are ints or Polynomials free of the variable; b's last entry is
+    non-zero.  Every step scales by lc(b), also where a leading entry is
+    zero, so a degree drop of more than one is padded.  Returns a tuple
+    without trailing zeros: a's entries when da < db."""
+    a = list(a)
+    lb, db = b[-1], len(b) - 1
+    tail = [(i, y) for i, y in enumerate(b[:-1]) if y]
+    for shift in range(len(a) - db - 1, -1, -1):
+        c = a.pop()
+        a = [lb * x if x else x for x in a]
+        if c:
+            for i, y in tail:
+                a[shift + i] -= c * y
+    while a and not a[-1]:
+        a.pop()
+    return tuple(a)
+
+
+def _divide_coeffs(coeffs, d):
+    """Each Polynomial entry of coeffs divided exactly by d."""
+    return [exact_div(c, d) if c else c for c in coeffs]
 
 
 def _gcd_many(polys):
@@ -688,8 +708,20 @@ def _gcd_many(polys):
     return integer_normalized(g)
 
 
+def _content(coeffs):
+    """The content of a coefficient list over Z: the gcd of its entries
+    (_gcd_many, which normalises to integer content 1) times the rational
+    content of their coefficients, so that dividing by it leaves a list
+    whose coefficients are coprime integers."""
+    values = [x for c in coeffs for x in c.terms.values()]
+    k = Fraction(_int_gcd(*[x.numerator for x in values]),
+                 lcm(*[x.denominator for x in values]))
+    return _gcd_many([c for c in coeffs if c]) * k
+
+
 # Dense univariate helpers on integer coefficient tuples (lowest degree
 # first): the image gcd of poly_gcd, and the defining polynomials of realalg.
+# Their remainders come from the same _prem as the sparse sequences.
 
 
 def primitive(coeffs):
@@ -698,21 +730,6 @@ def primitive(coeffs):
     if coeffs[-1] < 0:
         g = -g
     return coeffs if g == 1 else tuple(c // g for c in coeffs)
-
-
-def _prem(a, b):
-    """Pseudo-remainder of a by b: lc(b)^k * a modulo b."""
-    a = list(a)
-    lb, nb = b[-1], len(b)
-    while len(a) >= nb:
-        c = a.pop()
-        shift = len(a) - nb + 1
-        a = [lb * x for x in a]
-        for i in range(nb - 1):
-            a[shift + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
 
 
 def ugcd(a, b):
@@ -815,26 +832,23 @@ def poly_gcd(p, q):
         return poly_gcd(const_side, cont)
     if _coprime_image(p, q, v):
         return _gcd_many(p.coeffs_in(v) + q.coeffs_in(v))
-    cont_p = _gcd_many([c for c in p.coeffs_in(v) if not c.is_zero()])
-    cont_q = _gcd_many([c for c in q.coeffs_in(v) if not c.is_zero()])
-    a = exact_div(p, cont_p)
-    b = exact_div(q, cont_q)
+    cp, cq = p.coeffs_in(v), q.coeffs_in(v)
+    cont_p, cont_q = _content(cp), _content(cq)
+    a = _divide_coeffs(cp, cont_p)
+    b = _divide_coeffs(cq, cont_q)
     cont_g = poly_gcd(cont_p, cont_q)
     # a and b are primitive in v throughout, b non-zero: the last non-zero
     # remainder's primitive part is the primitive part of the gcd
-    while True:
-        da, db = a.degree_in(v), b.degree_in(v)
-        if db == 0:
-            return integer_normalized(cont_g)
-        if da < db:
+    while len(b) > 1:
+        if len(a) < len(b):
             a, b = b, a
             continue
-        r = pseudo_rem(a, b, v)
-        if r.is_zero():
-            return integer_normalized(b * cont_g)
+        r = _prem(a, b)
+        if not r:
+            return integer_normalized(from_coeffs(b, v, p.order) * cont_g)
         # primitive part to keep coefficients small
-        cont_r = _gcd_many([c for c in r.coeffs_in(v) if not c.is_zero()])
-        a, b = b, exact_div(r, cont_r)
+        a, b = b, _divide_coeffs(r, _content(r))
+    return integer_normalized(cont_g)
 
 
 # ---------------------------------------------------------------------------
@@ -884,33 +898,26 @@ def resultant(p, q, v):
     order = p.order
     cont_a, a = content_primitive(p, v)
     cont_b, b = content_primitive(q, v)
-    t = cont_a ** q.degree_in(v) * cont_b ** p.degree_in(v)
-    g = Polynomial.constant(order, 1)
-    h = Polynomial.constant(order, 1)
+    t = cont_a ** dq * cont_b ** dp
+    a, b = a.coeffs_in(v), b.coeffs_in(v)
+    g = h = Polynomial.constant(order, 1)
     while True:
-        da = a.degree_in(v)
-        db = b.degree_in(v)
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        r = pseudo_rem(a, b, v)
-        a = b
-        divisor = g * h ** delta
-        b = exact_div(r, divisor) if not r.is_zero() else r
-        if b.is_zero():
+        r = _prem(a, b)
+        if not r:
             return Polynomial.zero(order)
-        g = a.leading_coeff_in(v)
+        a, b = b, _divide_coeffs(r, g * h ** delta)
+        g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
             h = exact_div(g ** delta, h ** (delta - 1))
-        if b.degree_in(v) == 0:
-            da = a.degree_in(v)
-            lc_b = b.leading_coeff_in(v)
-            if da == 1:
-                res_pp = lc_b
-            else:
-                res_pp = exact_div(lc_b ** da, h ** (da - 1))
+        if len(b) == 1:
+            da = len(a) - 1
+            res_pp = b[0] if da == 1 else exact_div(b[0] ** da, h ** (da - 1))
             result = t * res_pp
             return result if sign == 1 else -result
 

@@ -32,10 +32,6 @@ class CapExceededError(Exception):
     """A configured size cap (cells or projection polynomials) was hit."""
 
 
-def _norm(p):
-    return integer_normalized(p)
-
-
 def _split(ps, v, order):
     """Partition by main variable: (main var == v, main var strictly lower)."""
     idx = order.index(v)
@@ -59,11 +55,11 @@ def _add_coeffs_and_discriminant(out, p, v):
     or more in v, its discriminant unless that is constant."""
     for c in p.coeffs_in(v):
         if not c.is_zero() and not c.is_constant():
-            out.add(_norm(c))
+            out.add(integer_normalized(c))
     if p.degree_in(v) >= 2:
         d = discriminant(p, v)
         if not d.is_constant():
-            out.add(_norm(d))
+            out.add(integer_normalized(d))
 
 
 def mccallum_project(ps, v):
@@ -79,12 +75,12 @@ def mccallum_project(ps, v):
         raise PolynomialError("mccallum_project needs a non-empty set")
     order = next(iter(ps)).order
     mains, lower = _split(ps, v, order)
-    out = {_norm(p) for p in lower}
+    out = {integer_normalized(p) for p in lower}
     prims = []
     for p in mains:
         cont, prim = content_primitive(p, v)
         if not cont.is_constant():
-            out.add(_norm(cont))
+            out.add(integer_normalized(cont))
         prims.append(prim)
     basis = sorted(squarefree_basis(prims, v), key=str)
     for b in basis:
@@ -96,7 +92,7 @@ def mccallum_project(ps, v):
             except DegenerateResultantError:
                 continue
             if not r.is_constant():
-                out.add(_norm(r))
+                out.add(integer_normalized(r))
     return out
 
 
@@ -114,15 +110,15 @@ def reduced_project(ec, others, v):
             "reduced projection is only valid for primitive ECs" % (ec, cont, v))
     order = ec.order
     mains, lower = _split(set(others), v, order)
-    out = {_norm(p) for p in lower}
+    out = {integer_normalized(p) for p in lower}
     ec = squarefree_part(ec, v)
     _add_coeffs_and_discriminant(out, ec, v)
     for g in sorted(mains, key=str):
-        if _norm(g) == _norm(ec):
+        if integer_normalized(g) == integer_normalized(ec):
             continue
         r = resultant(ec, g, v)
         if not r.is_constant():
-            out.add(_norm(r))
+            out.add(integer_normalized(r))
     return out
 
 
@@ -166,7 +162,7 @@ def propagate_ecs(ecs, v, mode):
 
 
 def _candidate_norm(p):
-    return _norm(squarefree_part(p, p.main_variable()))
+    return integer_normalized(squarefree_part(p, p.main_variable()))
 
 
 class ECDesignation:
@@ -244,7 +240,7 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
     syntactically identified ECs and propagate them downward; or an explicit
     list of polynomials to designate (imprimitive entries are a hard error).
     """
-    inputs = {_norm(p) for p in f.polynomials()
+    inputs = {integer_normalized(p) for p in f.polynomials()
               if not p.is_zero() and not p.is_constant()}
     n = len(order)
 
@@ -257,12 +253,13 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
             v = p.main_variable()
             k = order.level(v)
             if is_primitive(p, v):
-                pool[k].append(ECDesignation(k, _norm(squarefree_part(p, v)), "input"))
+                pool[k].append(ECDesignation(
+                    k, integer_normalized(squarefree_part(p, v)), "input"))
             else:
                 rejected[k].append(p)
     elif isinstance(ec_policy, (list, tuple, set)):
         for p in ec_policy:
-            p = _norm(p)
+            p = integer_normalized(p)
             v = p.main_variable()
             k = order.level(v)
             if not is_primitive(p, v):
@@ -270,7 +267,7 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
                 raise PrimitivityError(
                     "designated EC %s is imprimitive (content %s in %s)"
                     % (p, cont, v))
-            pool[k].append(ECDesignation(k, _norm(squarefree_part(p, v)), "input"))
+            pool[k].append(ECDesignation(k, integer_normalized(squarefree_part(p, v)), "input"))
     else:
         raise PolynomialError("unknown ec_policy %r" % (ec_policy,))
 
@@ -292,8 +289,6 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
             derived = propagate_ecs({c.poly for c in candidates}, v, ec_mode)
             for cand in derived:
                 mv = cand.main_variable()
-                if mv is None:
-                    continue
                 j = order.level(mv)
                 if any(c.poly == cand for c in pool[j]):
                     continue
@@ -302,7 +297,7 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
                 else:
                     rejected[j].append(cand)
 
-        projection_polys = {_norm(p) for p in mains}
+        projection_polys = {integer_normalized(p) for p in mains}
         if ec is not None:
             lifting = {ec.poly}
             out = reduced_project(ec.poly, (mains - {ec.poly}) | lower, v) \

@@ -376,6 +376,9 @@ def _deflate(f, rationals):
 # ---------------------------------------------------------------------------
 # AlgebraicNumber
 
+# the order in which a defining polynomial prints, as a Polynomial in t
+_PRINT_ORDER = VarOrder(("t",))
+
 
 class AlgebraicNumber:
     """A real algebraic number: squarefree defining polynomial (a primitive
@@ -488,26 +491,8 @@ class AlgebraicNumber:
     def __str__(self):
         if self.is_rational:
             return str(self.rational_value())
-        body = _coeffs_to_str(self.coeffs)
-        return "root(%s, %s, %s)" % (body, self.lo, self.hi)
-
-
-def _coeffs_to_str(coeffs, var="t"):
-    chunks = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            mono = str(abs(c))
-        else:
-            v = var if i == 1 else "%s^%d" % (var, i)
-            mono = v if abs(c) == 1 else "%s*%s" % (abs(c), v)
-        if not chunks:
-            chunks.append(mono if c > 0 else "-" + mono)
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + mono)
-    return " ".join(chunks) if chunks else "0"
+        defining = Polynomial(_PRINT_ORDER, {(i,): c for i, c in enumerate(self.coeffs)})
+        return "root(%s, %s, %s)" % (defining, self.lo, self.hi)
 
 
 def algebraic_is_root(alpha, coeffs):

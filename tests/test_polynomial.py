@@ -5,9 +5,9 @@ from math import lcm, prod
 import pytest
 
 from cadec.polynomial import (
-    ExactDivisionError, ParseError, Polynomial, VarOrder, _coprime_image,
-    content_primitive, discriminant, divides, exact_div, integer_image,
-    integer_normalized, is_primitive, parse_poly, poly_gcd, poly_to_str, pseudo_rem, resultant,
+    ExactDivisionError, ParseError, Polynomial, VarOrder, _content, _coprime_image, _prem,
+    content_primitive, discriminant, divides, exact_div, from_coeffs, integer_image,
+    integer_normalized, is_primitive, parse_poly, poly_gcd, poly_to_str, resultant,
     squarefree_basis, squarefree_part,
 )
 from oracles import sylvester_resultant
@@ -109,6 +109,30 @@ def test_gcd_planted_factor_random():
         checked += 1
 
 
+def test_content_keeps_the_rational_factor():
+    # _gcd_many normalises to integer content 1; the content over Z puts
+    # the integer (or rational) factor back
+    assert _content([P("6*y"), P("0"), P("4*y^2")]) == P("2*y")
+    assert _content([P("3/2*y"), P("9/4")]) == P("3/4")
+    assert _content([P("-5"), P("7*y")]) == P("1")
+
+
+def test_gcd_prs_stays_small(time_budget):
+    # a pair whose primitive PRS runs through remainders with large integer
+    # contents: the gcd comes back in well under a second when each
+    # remainder is divided by its content over Z, and not within the time
+    # budget when only by its normalised gcd of coefficients
+    a = parse_poly("42*x^3*y^3*z^2 + 63*x^3*y^2*z + 63*x^2*y^3*z^2 + 36*x^2*y^3*z"
+                   " - 30*x^2*y^2*z^2 + 54*x^2*y^2 - 45*x^2*y*z + 19*x*y^3*z"
+                   " - 45*x*y^2*z^2 - 30*y^3 + 25*y^2*z", O3)
+    b = parse_poly("-56*x^3*y^3*z + 7/3*x^3*y^2*z - 48*x^2*y^3 + 40*x^2*y^2*z"
+                   " + 2*x^2*y^2 - 194/3*x^2*y*z - 63*x*y^2*z^2 - 54*x*y + 45*x*z"
+                   " - 54*y^2*z + 45*y*z^2", O3)
+    g = parse_poly("7*x*y*z + 6*y - 5*z", O3)
+    assert poly_gcd(a, b) == g
+    assert poly_gcd(exact_div(a, g), exact_div(b, g)) == parse_poly("1", O3)
+
+
 def test_gcd_image_fallbacks():
     # The image test sets y to 2, then to -3.  Here lc(p) = y - 2 vanishes
     # at the first point and the images agree at the second, so it proves
@@ -198,9 +222,9 @@ def test_product_equality_factor_contents():
 
 
 def _assert_pseudo_rem(p, q, v):
-    """R = prem(p, q) has deg_v R < deg_v q, and q divides
-    lc_v(q)^(dp - dq + 1) * p - R exactly."""
-    r = pseudo_rem(p, q, v)
+    """R = prem(p, q), taken by _prem on the coefficient lists in v, has
+    deg_v R < deg_v q, and q divides lc_v(q)^(dp - dq + 1) * p - R exactly."""
+    r = from_coeffs(_prem(p.coeffs_in(v), q.coeffs_in(v)), v, p.order)
     assert r.is_zero() or r.degree_in(v) < q.degree_in(v)
     scale = q.leading_coeff_in(v) ** (p.degree_in(v) - q.degree_in(v) + 1)
     exact_div(scale * p - r, q)
@@ -228,6 +252,76 @@ def test_pseudo_rem_degree_drop_pads():
     o = O3
     assert (_assert_pseudo_rem(parse_poly("x^3 + z", o), parse_poly("y*z*x^2 + y", o), "x")
             == parse_poly("y^2*z*(z^2 - x)", o))
+
+
+def _fraction_rem(a, b):
+    """a mod b over the rationals, by long division on coefficient lists."""
+    a = [Fraction(x) for x in a]
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def test_prem_int_lists_is_scaled_remainder():
+    # x^3 by 2x^2 + 1: the first step leaves -x, a drop of two degrees, and
+    # the padding makes the scale 2^2, not 2
+    assert _prem((0, 0, 0, 1), (1, 0, 2)) == (0, -2)
+    assert _prem((5, 1), (1, 0, 2)) == (5, 1)
+    assert _prem((2, 3, 1), (1, 1)) == ()
+    rng = random.Random(31)
+    for _ in range(300):
+        b = [rng.randint(-5, 5) for _ in range(rng.randint(2, 4))]
+        a = [rng.randint(-5, 5) for _ in range(rng.randint(len(b), 7))]
+        if rng.random() < 0.3:
+            a[-2] = b[-2] = 0  # the first step drops the degree by two or more
+        if not a[-1] or not b[-1]:
+            continue
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        r = _prem(a, b)
+        assert all(type(x) is int for x in r)
+        assert r == _fraction_rem([scale * x for x in a], b)
+
+
+def test_prem_polynomial_lists_is_scaled_remainder():
+    # the same identity with v-free Polynomial entries, and the drop of two
+    # degrees above on polynomial lists
+    y = P("y")
+    one, zero = P("1"), P("0")
+    assert _prem([zero, zero, zero, one], [one, zero, y]) == (zero, -y)
+    rng = random.Random(37)
+    checked = 0
+    while checked < 60:
+        p = random_poly(O2, rng, max_deg=4, terms=5)
+        q = random_poly(O2, rng, max_deg=3, terms=3)
+        dp, dq = p.degree_in("x"), q.degree_in("x")
+        if dq < 1 or dp < dq:
+            continue
+        r = _prem(p.coeffs_in("x"), q.coeffs_in("x"))
+        assert len(r) <= dq and (not r or r[-1])
+        assert all(not c or c.degree_in("x") == 0 for c in r)
+        scale = q.leading_coeff_in("x") ** (dp - dq + 1)
+        exact_div(scale * p - from_coeffs(r, "x", O2), q)
+        checked += 1
+
+
+def test_polynomial_truth_is_non_zero():
+    assert not Polynomial.zero(O2)
+    assert not P("x*y - y*x")
+    assert P("x - y")
+    assert P("-1/2")
+
+
+def test_from_coeffs_inverts_coeffs_in():
+    p = parse_poly("3*x^2*y - z*x + y*z^2 - 7", O3)
+    for v in O3.names:
+        assert from_coeffs(p.coeffs_in(v), v, O3) == p
+    assert from_coeffs([], "x", O3).is_zero()
 
 
 def test_resultant_examples():

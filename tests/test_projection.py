@@ -105,6 +105,14 @@ def test_plan_designated_imprimitive_hard_error():
         plan_projection(f, O2, [P("(y - 1)*x + (y - 1)")])
 
 
+def test_plan_designated_list_matches_auto():
+    # an explicit primitive EC list designates what "auto" identifies
+    f = parse_formula("x^2 + y^2 - 1 = 0 and x - y > 0", O2)
+    plan = plan_projection(f, O2, [P("x^2 + y^2 - 1")])
+    assert plan.ell == 1 and plan.level(2).ec.origin == "input"
+    assert plan.to_json() == plan_projection(f, O2, "auto").to_json()
+
+
 def test_plan_auto_imprimitive_fallback():
     f = parse_formula("(y - 1)*x + (y - 1) = 0", O2)
     plan = plan_projection(f, O2, "auto")

@@ -6,8 +6,8 @@ import pytest
 
 from cadec.polynomial import Polynomial, VarOrder, parse_poly
 from cadec.realalg import (
-    IDENTICALLY_ZERO, AlgebraicNumber, RealAlgebraError, SamplePoint, compare,
-    compare_rational, isolate_coeffs, isolate_real_roots, roots_above, sign_at,
+    IDENTICALLY_ZERO, AlgebraicNumber, RealAlgebraError, SamplePoint, algebraic_is_root,
+    compare, compare_rational, isolate_coeffs, isolate_real_roots, roots_above, sign_at,
 )
 from oracles import _eval as value_at, sturm_count_all, sturm_count_between
 
@@ -55,8 +55,34 @@ def test_compare_and_refine():
 
 def test_printing_format():
     rt = isolate_real_roots(parse_poly("x^2 - 2", O1))[1]
-    assert str(rt).startswith("root(")
+    assert str(rt) == "root(t^2 - 2, %s, %s)" % (rt.lo, rt.hi)
     assert str(AlgebraicNumber.from_rational(Fraction(5, 3))) == "5/3"
+    alpha = AlgebraicNumber((3, -10, 0, -1, 7), 1, 2, 1)
+    assert str(alpha).startswith("root(7*t^4 - t^3 - 10*t + 3, ")
+
+
+def test_algebraic_is_root_branches():
+    sqrt2 = isolate_real_roots(parse_poly("x^2 - 2", O1))[1]
+    # the zero polynomial has every root
+    assert algebraic_is_root(sqrt2, (0, 0))
+    # a rational alpha: one evaluation
+    half = AlgebraicNumber.from_rational(Fraction(1, 2))
+    assert algebraic_is_root(half, (-1, 2))
+    assert not algebraic_is_root(half, (1, 1))
+    # coprime with the defining polynomial, and a multiple of it
+    assert not algebraic_is_root(sqrt2, (-3, 0, 1))
+    assert algebraic_is_root(sqrt2, (-2, -2, 1, 1))
+    # a proper factor of the defining polynomial (x^2 - 2)(x^2 - 3): a sign
+    # change of the gcd in alpha's interval, or none
+    alpha = AlgebraicNumber((6, 0, -5, 0, 1), 1, 3, 2)
+    assert algebraic_is_root(alpha, (-2, 0, 1))
+    assert not algebraic_is_root(alpha, (-3, 0, 1))
+    # (2x - 1)(x - 1)(x^2 - 3) on (0, 1): the gcd vanishes at the end 1, so
+    # alpha is refined, and the first bisection point finds it is 1/2
+    for coeffs, expected in (((-5, 4, 1), False), ((5, -14, 7, 2), True)):
+        alpha = AlgebraicNumber((-3, 9, -5, -3, 2), 0, 1, 1)
+        assert algebraic_is_root(alpha, coeffs) is expected
+        assert alpha.is_rational and alpha.rational_value() == Fraction(1, 2)
 
 
 def test_sign_at_rational_point():
