@@ -27,19 +27,20 @@ the two images is taken.  Such a point keeps the degree in v of the gcd g
 images, so an image gcd of degree 0 proves that g is free of v; g is then
 the gcd of the contents in v.  The test is exact, not heuristic.  Otherwise
 (both points lost a leading coefficient, or gave a non-constant image gcd)
-a primitive PRS computes the gcd.  Most pairs of a squarefree basis are
+the subresultant PRS computes the gcd.  Most pairs of a squarefree basis are
 coprime and never reach the PRS.
 
-One pseudo-remainder kernel, _prem, serves every remainder sequence: the
-subresultant PRS of resultant, the primitive PRS of poly_gcd, and ugcd on
-integer tuples (the image gcd here, the defining polynomials of realalg).
-It works on dense coefficient lists in the main variable, lowest degree
-first, whose entries are ints or Polynomials free of that variable; the
-sparse sequences split their inputs with coeffs_in once, divide each
-remainder coefficient by coefficient (by the subresultant divisor, or by
-its content over Z, whose integer factor keeps the primitive PRS's
-coefficients small), and rebuild a Polynomial with from_coeffs only where
-one is returned.
+One remainder sequence, the subresultant PRS (Collins 1967; Brown 1971) of
+_subresultant_prs, serves resultant, poly_gcd and ugcd on integer tuples
+(the image gcd here, the defining polynomials of realalg).  It works on
+dense coefficient lists in the main variable, lowest degree first, whose
+entries are ints or Polynomials free of that variable, through the one
+pseudo-remainder kernel _prem and one exact division, //, that both kinds of
+entry answer.  Each remainder is divided by the subresultant divisor that
+keeps its coefficients small, never by its content: only the inputs and the
+last non-zero member are split into content and primitive part.  The sparse
+callers split their inputs with coeffs_in once and rebuild a Polynomial with
+from_coeffs only where one is returned.
 """
 
 from __future__ import annotations
@@ -303,6 +304,13 @@ class Polynomial:
         return Polynomial(self.order, int_coeffs(terms), _clean=True)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient self / other (exact_div); other may be a
+        coefficient.  Raises ExactDivisionError on a remainder."""
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(self.order, other)
+        return exact_div(self, other)
 
     def __pow__(self, n):
         if n < 0:
@@ -691,8 +699,38 @@ def _prem(a, b):
 
 
 def _divide_coeffs(coeffs, d):
-    """Each Polynomial entry of coeffs divided exactly by d."""
-    return [exact_div(c, d) if c else c for c in coeffs]
+    """Each non-zero entry of coeffs divided exactly by d."""
+    if d == 1:
+        return coeffs
+    return tuple([c // d if c else c for c in coeffs])
+
+
+def _subresultant_prs(a, b):
+    """The subresultant PRS of coefficient lists a and b (as for _prem,
+    len(a) >= len(b) >= 1, both leading entries non-zero).
+
+    Returns (prev, last, h, odd): last is the last non-zero member, prev
+    the member before it, h the subresultant scale reached at prev, and odd
+    whether the sign flips (one per step between two odd degrees) are odd
+    in number.  last is a multiple of the gcd of a and b, of the same
+    degree; when it is a constant, the resultant is +-last[0]^d / h^(d - 1),
+    d the degree of prev."""
+    g = h = 1
+    odd = False
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        odd ^= da & db & 1 == 1
+        r = _prem(a, b)
+        if not r:
+            break
+        a, b = b, _divide_coeffs(r, g * h ** delta)
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = g ** delta // h ** (delta - 1)
+    return a, b, h, odd
 
 
 def _gcd_many(polys):
@@ -708,20 +746,8 @@ def _gcd_many(polys):
     return integer_normalized(g)
 
 
-def _content(coeffs):
-    """The content of a coefficient list over Z: the gcd of its entries
-    (_gcd_many, which normalises to integer content 1) times the rational
-    content of their coefficients, so that dividing by it leaves a list
-    whose coefficients are coprime integers."""
-    values = [x for c in coeffs for x in c.terms.values()]
-    k = Fraction(_int_gcd(*[x.numerator for x in values]),
-                 lcm(*[x.denominator for x in values]))
-    return _gcd_many([c for c in coeffs if c]) * k
-
-
 # Dense univariate helpers on integer coefficient tuples (lowest degree
 # first): the image gcd of poly_gcd, and the defining polynomials of realalg.
-# Their remainders come from the same _prem as the sparse sequences.
 
 
 def primitive(coeffs):
@@ -733,16 +759,13 @@ def primitive(coeffs):
 
 
 def ugcd(a, b):
-    """Primitive gcd of two non-zero integer tuples (primitive PRS)."""
+    """Primitive gcd of two non-zero integer tuples: the primitive part of
+    the last non-zero member of their subresultant PRS."""
     a, b = primitive(a), primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    while len(b) > 1:
-        r = _prem(a, b)
-        if not r:
-            return b
-        a, b = b, primitive(r)
-    return (1,)
+    last = _subresultant_prs(a, b)[1]
+    return primitive(last) if len(last) > 1 else (1,)
 
 
 def integer_image(p, point, vi=None):
@@ -810,8 +833,9 @@ def poly_gcd(p, q):
     gcd g keeps its degree in v at a (lc(g) divides lc(p)), and g(a) divides
     p(a) and q(a), so deg_v g <= deg gcd(p(a), q(a)).  When that image gcd
     is constant, g is free of v and equals gcd(cont_v p, cont_v q): the gcd
-    of every coefficient of p and q in v.  Otherwise a primitive PRS in v
-    computes it.
+    of every coefficient of p and q in v.  Otherwise g is the primitive
+    part of the last non-zero member of the subresultant PRS of p's and q's
+    primitive parts in v, times gcd(cont_v p, cont_v q).
     """
     if p.is_zero():
         return integer_normalized(q) if not q.is_zero() else q
@@ -833,22 +857,15 @@ def poly_gcd(p, q):
     if _coprime_image(p, q, v):
         return _gcd_many(p.coeffs_in(v) + q.coeffs_in(v))
     cp, cq = p.coeffs_in(v), q.coeffs_in(v)
-    cont_p, cont_q = _content(cp), _content(cq)
-    a = _divide_coeffs(cp, cont_p)
-    b = _divide_coeffs(cq, cont_q)
+    if len(cp) < len(cq):
+        cp, cq = cq, cp
+    cont_p, cont_q = _gcd_many(cp), _gcd_many(cq)
     cont_g = poly_gcd(cont_p, cont_q)
-    # a and b are primitive in v throughout, b non-zero: the last non-zero
-    # remainder's primitive part is the primitive part of the gcd
-    while len(b) > 1:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        r = _prem(a, b)
-        if not r:
-            return integer_normalized(from_coeffs(b, v, p.order) * cont_g)
-        # primitive part to keep coefficients small
-        a, b = b, _divide_coeffs(r, _content(r))
-    return integer_normalized(cont_g)
+    last = _subresultant_prs(_divide_coeffs(cp, cont_p), _divide_coeffs(cq, cont_q))[1]
+    if len(last) == 1:
+        return cont_g
+    last = _divide_coeffs(last, _gcd_many(last))
+    return integer_normalized(from_coeffs(last, v, p.order) * cont_g)
 
 
 # ---------------------------------------------------------------------------
@@ -889,37 +906,19 @@ def resultant(p, q, v):
     if dp < 1 or dq < 1:
         raise DegenerateResultantError(
             "resultant needs degree >= 1 in %s on both sides" % v)
-    sign = 1
+    swap_odd = dp < dq and dp & dq & 1 == 1
     if dp < dq:
         p, q = q, p
         dp, dq = dq, dp
-        if dp % 2 == 1 and dq % 2 == 1:
-            sign = -sign
-    order = p.order
     cont_a, a = content_primitive(p, v)
     cont_b, b = content_primitive(q, v)
     t = cont_a ** dq * cont_b ** dp
-    a, b = a.coeffs_in(v), b.coeffs_in(v)
-    g = h = Polynomial.constant(order, 1)
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _prem(a, b)
-        if not r:
-            return Polynomial.zero(order)
-        a, b = b, _divide_coeffs(r, g * h ** delta)
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_div(g ** delta, h ** (delta - 1))
-        if len(b) == 1:
-            da = len(a) - 1
-            res_pp = b[0] if da == 1 else exact_div(b[0] ** da, h ** (da - 1))
-            result = t * res_pp
-            return result if sign == 1 else -result
+    a, b, h, odd = _subresultant_prs(a.coeffs_in(v), b.coeffs_in(v))
+    if len(b) > 1:
+        return Polynomial.zero(p.order)
+    da = len(a) - 1
+    result = t * (b[0] if da == 1 else b[0] ** da // h ** (da - 1))
+    return -result if odd ^ swap_odd else result
 
 
 def discriminant(p, v):

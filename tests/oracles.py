@@ -137,6 +137,15 @@ def _rem(a, b):
     return a
 
 
+def reference_gcd(a, b):
+    """Monic gcd of two non-zero coefficient lists over Q: Euclid's algorithm
+    on _rem."""
+    a, b = _strip(map(Fraction, a)), _strip(map(Fraction, b))
+    while b:
+        a, b = b, _rem(a, b)
+    return [x / a[-1] for x in a]
+
+
 def _eval(c, x):
     acc = Fraction(0)
     for coef in reversed(c):
@@ -414,8 +423,6 @@ def reference_compare_rational(a, q):
 def reference_compare(a, b):
     """Sign of a - b for ReferenceNumbers, refining both as realalg.compare
     does."""
-    from cadec.polynomial import ugcd
-
     if a is b:
         return 0
     if a.is_rational and b.is_rational:
@@ -424,7 +431,7 @@ def reference_compare(a, b):
         return -reference_compare_rational(b, a.value())
     if b.is_rational:
         return reference_compare_rational(a, b.value())
-    g = ugcd(a.coeffs, b.coeffs)
+    g = reference_gcd(a.coeffs, b.coeffs)
     while True:
         if a.hi <= b.lo:
             return -1

@@ -5,12 +5,12 @@ from math import lcm, prod
 import pytest
 
 from cadec.polynomial import (
-    ExactDivisionError, ParseError, Polynomial, VarOrder, _content, _coprime_image, _prem,
+    ExactDivisionError, ParseError, Polynomial, VarOrder, _coprime_image, _prem,
     content_primitive, discriminant, divides, exact_div, from_coeffs, integer_image,
-    integer_normalized, is_primitive, parse_poly, poly_gcd, poly_to_str, resultant,
-    squarefree_basis, squarefree_part,
+    integer_normalized, is_primitive, parse_poly, poly_gcd, poly_to_str, primitive, resultant,
+    squarefree_basis, squarefree_part, ugcd,
 )
-from oracles import sylvester_resultant
+from oracles import reference_gcd, sylvester_resultant
 
 O2 = VarOrder(["y", "x"])
 O3 = VarOrder(["z", "y", "x"])
@@ -72,6 +72,12 @@ def test_exact_div():
     assert exact_div(p, q) == P("x + y")
     with pytest.raises(ExactDivisionError):
         exact_div(P("x^2 + 1"), P("x - y"))
+    # // is the same exact division, and takes a coefficient too
+    assert p // q == P("x + y")
+    assert P("6*x - 4*y") // -2 == P("2*y - 3*x")
+    assert P("x + y") // 2 == P("1/2*x + 1/2*y")
+    with pytest.raises(ExactDivisionError):
+        P("x^2 + 1") // P("x - y")
 
 
 def test_gcd():
@@ -109,19 +115,11 @@ def test_gcd_planted_factor_random():
         checked += 1
 
 
-def test_content_keeps_the_rational_factor():
-    # _gcd_many normalises to integer content 1; the content over Z puts
-    # the integer (or rational) factor back
-    assert _content([P("6*y"), P("0"), P("4*y^2")]) == P("2*y")
-    assert _content([P("3/2*y"), P("9/4")]) == P("3/4")
-    assert _content([P("-5"), P("7*y")]) == P("1")
-
-
 def test_gcd_prs_stays_small(time_budget):
-    # a pair whose primitive PRS runs through remainders with large integer
-    # contents: the gcd comes back in well under a second when each
-    # remainder is divided by its content over Z, and not within the time
-    # budget when only by its normalised gcd of coefficients
+    # a pair whose remainders carry large integer contents: a PRS that
+    # divides each remainder only by its normalised gcd of coefficients does
+    # not finish within the time budget; the subresultant PRS takes well
+    # under a second
     a = parse_poly("42*x^3*y^3*z^2 + 63*x^3*y^2*z + 63*x^2*y^3*z^2 + 36*x^2*y^3*z"
                    " - 30*x^2*y^2*z^2 + 54*x^2*y^2 - 45*x^2*y*z + 19*x*y^3*z"
                    " - 45*x*y^2*z^2 - 30*y^3 + 25*y^2*z", O3)
@@ -131,6 +129,45 @@ def test_gcd_prs_stays_small(time_budget):
     g = parse_poly("7*x*y*z + 6*y - 5*z", O3)
     assert poly_gcd(a, b) == g
     assert poly_gcd(exact_div(a, g), exact_div(b, g)) == parse_poly("1", O3)
+
+
+def _in_x(rng, deg):
+    """A random polynomial in O2 of degree deg in x, each coefficient of
+    degree at most 2 in y."""
+    terms = {(ey, k): rng.randint(-4, 4) for k in range(deg + 1) for ey in range(3)}
+    terms[(rng.randrange(3), deg)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return Polynomial(O2, terms)
+
+
+def _drops_then_divides(a, b):
+    """True when the first remainder of a and b drops two or more degrees
+    and the two remainders after it are non-zero: the step after the drop
+    sets h with delta > 1, and the one after that divides by it."""
+    if len(a) < len(b):
+        a, b = b, a
+    r = _prem(a, b)
+    if len(r) > len(b) - 2:
+        return False
+    r2 = _prem(b, r)
+    return bool(r2) and bool(_prem(r, r2))
+
+
+def test_gcd_planted_factor_degree_drop():
+    # cofactors a = s*b + r with deg_x r = deg_x b - 2 >= 2: the first
+    # remainder drops two degrees, so the subresultant PRS sets h with
+    # delta > 1 and divides by it, on polynomial entries; the cofactors'
+    # own resultant reads that h at its last member
+    rng = random.Random(43)
+    drops = 0
+    for _ in range(8):
+        h = _in_x(rng, 1)
+        b = _in_x(rng, 4)
+        a = _in_x(rng, 1) * b + _in_x(rng, 2)
+        g = _assert_gcd(h * a, h * b, h)
+        assert g == integer_normalized(h * poly_gcd(a, b))
+        assert resultant(a, b, "x") == sylvester_resultant(a, b, "x")
+        drops += _drops_then_divides((h * a).coeffs_in("x"), (h * b).coeffs_in("x"))
+    assert drops == 8
 
 
 def test_gcd_image_fallbacks():
@@ -308,6 +345,43 @@ def test_prem_polynomial_lists_is_scaled_remainder():
         scale = q.leading_coeff_in("x") ** (dp - dq + 1)
         exact_div(scale * p - from_coeffs(r, "x", O2), q)
         checked += 1
+
+
+def _int_poly(rng, deg):
+    return [rng.randint(-6, 6) for _ in range(deg)] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_ugcd_matches_reference_gcd():
+    # planted common factors h; in every other pair the cofactors are
+    # a = s*b + r with 2 <= deg r <= deg b - 2, so the first remainder drops
+    # two or more degrees and the PRS sets h with delta > 1 and divides by
+    # it, on ints
+    rng = random.Random(41)
+    drops = 0
+    for i in range(400):
+        h = _int_poly(rng, rng.randint(0, 3))
+        b = _int_poly(rng, rng.randint(4, 6))
+        drop = i % 2 == 1
+        if drop:
+            r = _int_poly(rng, rng.randint(2, len(b) - 3))
+            a = [x + (r[k] if k < len(r) else 0)
+                 for k, x in enumerate(_int_mul(_int_poly(rng, rng.randint(0, 2)), b))]
+        else:
+            a = _int_poly(rng, rng.randint(0, 7))
+        a, b = tuple(_int_mul(h, a)), tuple(_int_mul(h, b))
+        ref = reference_gcd(a, b)
+        ref = primitive(tuple(int(x * lcm(*(y.denominator for y in ref))) for x in ref))
+        assert ugcd(a, b) == ugcd(b, a) == ref, (a, b)
+        drops += drop and _drops_then_divides(a, b)
+    assert drops >= 190
 
 
 def test_polynomial_truth_is_non_zero():
