@@ -106,7 +106,7 @@ def _load_corpus(directory):
             head = fh.readline()
             body = fh.read()
         if not head.lower().startswith("order:"):
-            raise ParseError("%s: first line must be 'order: v1,v2,...'" % name)
+            raise ParseError("%s: first line must be 'order: v1,v2,...'" % name, 0)
         order = VarOrder([v.strip() for v in head.split(":", 1)[1].split(",")])
         corpus.append((os.path.splitext(name)[0],
                        parse_formula(body.strip(), order)))

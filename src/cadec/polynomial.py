@@ -30,15 +30,22 @@ the gcd of the contents in v.  The test is exact, not heuristic.  Otherwise
 the subresultant PRS computes the gcd.  Most pairs of a squarefree basis are
 coprime and never reach the PRS.
 
+Two kernels work on dense coefficient lists in a main variable, lowest
+degree first, whose entries are ints or Polynomials free of that variable:
+the pseudo-remainder _prem and the exact division _exquo.  _exquo divides
+each quotient entry by the divisor's leading entry, with divmod on ints and
+with // (exact_div, one variable further down) on Polynomials, and raises
+ExactDivisionError on any remainder.  exact_div splits a dividend and a
+non-constant divisor with coeffs_in on the divisor's main variable and
+divides there; realalg's squarefree parts, bisection and deflation divide
+integer tuples with the same kernel.
+
 One remainder sequence, the subresultant PRS (Collins 1967; Brown 1971) of
 _subresultant_prs, serves resultant, poly_gcd and ugcd on integer tuples
-(the image gcd here, the defining polynomials of realalg).  It works on
-dense coefficient lists in the main variable, lowest degree first, whose
-entries are ints or Polynomials free of that variable, through the one
-pseudo-remainder kernel _prem and one exact division, //, that both kinds of
-entry answer.  Each remainder is divided by the subresultant divisor that
-keeps its coefficients small, never by its content: only the inputs and the
-last non-zero member are split into content and primitive part.  The sparse
+(the image gcd here, the defining polynomials of realalg), on the two
+kernels.  Each remainder is divided by the subresultant divisor that keeps
+its coefficients small, never by its content: only the inputs and the last
+non-zero member are split into content and primitive part.  The sparse
 callers split their inputs with coeffs_in once and rebuild a Polynomial with
 from_coeffs only where one is returned.
 """
@@ -636,7 +643,10 @@ def integer_normalized(p):
 
 
 def exact_div(p, q):
-    """Exact polynomial division; raises ExactDivisionError on remainder."""
+    """Exact polynomial division; raises ExactDivisionError on remainder.
+    A non-constant q divides on coefficient lists in its main variable
+    (_exquo)."""
+    p._check(q)
     if q.is_zero():
         raise ZeroPolynomialError("division by zero polynomial")
     if q.is_constant():
@@ -645,28 +655,8 @@ def exact_div(p, q):
             return p
         return Polynomial(p.order, {e: coeff_quotient(c, k) for e, c in p.terms.items()},
                           _clean=True)
-    order = p.order
-    q_expt, q_coeff = q.leading_term()
-    quotient = {}
-    rem = p
-    while not rem.is_zero():
-        r_expt, r_coeff = rem.leading_term()
-        diff = tuple(a - b for a, b in zip(r_expt, q_expt))
-        if any(e < 0 for e in diff):
-            raise ExactDivisionError("%s does not divide %s" % (q, p))
-        c = coeff_quotient(r_coeff, q_coeff)
-        quotient[diff] = c
-        mono = Polynomial(order, {diff: c}, _clean=True)
-        rem = rem - mono * q
-    return Polynomial(order, quotient, _clean=True)
-
-
-def divides(q, p):
-    try:
-        exact_div(p, q)
-        return True
-    except (ExactDivisionError, ZeroPolynomialError):
-        return False
+    v = q.main_variable()
+    return from_coeffs(_exquo(p.coeffs_in(v), q.coeffs_in(v)), v, p.order)
 
 
 def from_coeffs(coeffs, v, order):
@@ -698,11 +688,32 @@ def _prem(a, b):
     return tuple(a)
 
 
-def _divide_coeffs(coeffs, d):
-    """Each non-zero entry of coeffs divided exactly by d."""
-    if d == 1:
-        return coeffs
-    return tuple([c // d if c else c for c in coeffs])
+def _exquo(a, b):
+    """The exact quotient a / b on coefficient lists as for _prem.  Each
+    quotient entry is the top remaining entry of a divided by lc(b): by
+    divmod on ints, since int // does not check, and by // (exact_div) on
+    Polynomials.  Raises ExactDivisionError on any remainder."""
+    if b == (1,):  # every first step of the subresultant PRS
+        return tuple(a)
+    rem = list(a)
+    lb, db = b[-1], len(b) - 1
+    tail = [(i, y) for i, y in enumerate(b[:-1]) if y]
+    quotient = [0] * (len(rem) - db)
+    for shift in range(len(quotient) - 1, -1, -1):
+        c = rem.pop()
+        if c:
+            if type(c) is int:
+                c, r = divmod(c, lb)
+                if r:
+                    raise ExactDivisionError("%s does not divide %s" % (b, a))
+            else:
+                c = c // lb
+            for i, y in tail:
+                rem[shift + i] -= c * y
+        quotient[shift] = c
+    if any(rem):
+        raise ExactDivisionError("%s does not divide %s" % (b, a))
+    return tuple(quotient)
 
 
 def _subresultant_prs(a, b):
@@ -724,7 +735,7 @@ def _subresultant_prs(a, b):
         r = _prem(a, b)
         if not r:
             break
-        a, b = b, _divide_coeffs(r, g * h ** delta)
+        a, b = b, _exquo(r, (g * h ** delta,))
         g = a[-1]
         if delta == 1:
             h = g
@@ -861,10 +872,10 @@ def poly_gcd(p, q):
         cp, cq = cq, cp
     cont_p, cont_q = _gcd_many(cp), _gcd_many(cq)
     cont_g = poly_gcd(cont_p, cont_q)
-    last = _subresultant_prs(_divide_coeffs(cp, cont_p), _divide_coeffs(cq, cont_q))[1]
+    last = _subresultant_prs(_exquo(cp, (cont_p,)), _exquo(cq, (cont_q,)))[1]
     if len(last) == 1:
         return cont_g
-    last = _divide_coeffs(last, _gcd_many(last))
+    last = _exquo(last, (_gcd_many(last),))
     return integer_normalized(from_coeffs(last, v, p.order) * cont_g)
 
 

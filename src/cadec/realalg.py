@@ -115,6 +115,7 @@ from .polynomial import (
     VarOrder,
     ZeroPolynomialError,
     PolynomialError,
+    _exquo,
     exact_div,
     integer_image,
     poly_gcd,
@@ -179,23 +180,6 @@ def normalize_int(coeffs):
         return coeffs
     den = lcm(*(c.denominator for c in coeffs))
     return primitive(tuple(c.numerator * (den // c.denominator) for c in coeffs))
-
-
-def _exquo(a, b):
-    """a / b for integer tuples where b divides a over the integers."""
-    a = list(a)
-    nb, lb = len(b), b[-1]
-    q = [0] * (len(a) - nb + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c, r = divmod(a[k + nb - 1], lb)
-        if r:
-            raise RealAlgebraError("inexact univariate division")
-        q[k] = c
-        for i in range(nb):
-            a[k + i] -= c * b[i]
-    if any(a):
-        raise RealAlgebraError("inexact univariate division")
-    return tuple(q)
 
 
 def usquarefree(f):

@@ -88,22 +88,12 @@ def sylvester_resultant(p, q, v):
 
 
 def sylvester_discriminant(p, v):
+    """(-1)^(d(d-1)/2) res_v(p, dp/dv) from the dense Sylvester matrix, d
+    the degree of p in v: the discriminant times lc_v(p), with no
+    division."""
     d = p.degree_in(v)
     res = sylvester_resultant(p, p.derivative(v), v)
-    lc = p.leading_coeff_in(v)
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    quo, rem = _poly_divide(res, lc)
-    assert rem, "discriminant oracle: resultant not divisible by lc"
-    return quo * sign if sign < 0 else quo
-
-
-def _poly_divide(a, b):
-    """a / b when exact; returns (quotient, ok)."""
-    from cadec.polynomial import exact_div, ExactDivisionError
-    try:
-        return exact_div(a, b), True
-    except ExactDivisionError:
-        return None, False
+    return -res if (d * (d - 1) // 2) % 2 else res
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_bench_run(tmp_path, capsys):
     assert lines[1].startswith("circle,si,2,1,2,0,13,5;13")
 
 
+def test_bench_run_corpus_without_order_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "noorder.txt").write_text("y,x\nx^2 + y^2 - 1 = 0\n")
+    code, _, err = run(["bench", "run", "--corpus", str(corpus),
+                        "--modes", "si", "--csv", str(tmp_path / "out.csv")], capsys)
+    assert code == 2
+    assert "parse error" in err and "noorder.txt" in err
+
+
 def test_gb(tmp_path, capsys):
     gens = tmp_path / "gens.txt"
     gens.write_text("z^2 - x\nz^2 - y\n")

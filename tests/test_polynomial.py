@@ -5,12 +5,13 @@ from math import lcm, prod
 import pytest
 
 from cadec.polynomial import (
-    ExactDivisionError, ParseError, Polynomial, VarOrder, _coprime_image, _prem,
-    content_primitive, discriminant, divides, exact_div, from_coeffs, integer_image,
+    ExactDivisionError, OrderingMismatchError, ParseError, Polynomial, VarOrder,
+    ZeroPolynomialError, _coprime_image, _exquo, _prem,
+    content_primitive, discriminant, exact_div, from_coeffs, integer_image,
     integer_normalized, is_primitive, parse_poly, poly_gcd, poly_to_str, primitive, resultant,
     squarefree_basis, squarefree_part, ugcd,
 )
-from oracles import reference_gcd, sylvester_resultant
+from oracles import reference_gcd, sylvester_discriminant, sylvester_resultant
 
 O2 = VarOrder(["y", "x"])
 O3 = VarOrder(["z", "y", "x"])
@@ -80,6 +81,69 @@ def test_exact_div():
         P("x^2 + 1") // P("x - y")
 
 
+def test_exquo_int_lists():
+    assert _exquo((2, 3, 1), (1, 1)) == (2, 1)
+    assert _exquo([-2, 0, 2], (2,)) == (-1, 0, 1)
+    assert _exquo((0,), (1, 1)) == ()
+    # a remainder in the top entry: 3 is not a multiple of lc = 2
+    with pytest.raises(ExactDivisionError):
+        _exquo((2, 3), (1, 2))
+    # a remainder in a low entry: x^2 + 1 = (x - 1)(x + 1) + 2
+    with pytest.raises(ExactDivisionError):
+        _exquo((1, 0, 1), (1, 1))
+    # a dividend of lower degree than the divisor
+    with pytest.raises(ExactDivisionError):
+        _exquo((1, 1), (1, 0, 1))
+
+
+def test_exquo_polynomial_lists():
+    # the divisor's main variable y is below the dividend's x, so the
+    # entries of the dividend's list in y carry x
+    q = parse_poly("y*z - 1", O3)
+    s = parse_poly("x^2*y + z", O3)
+    quotient = _exquo((s * q).coeffs_in("y"), q.coeffs_in("y"))
+    assert from_coeffs(quotient, "y", O3) == s
+    assert exact_div(s * q, q) == s and (s * q) // q == s
+    # a zero dividend
+    zero = Polynomial.zero(O3)
+    assert _exquo(zero.coeffs_in("y"), q.coeffs_in("y")) == ()
+    assert exact_div(zero, q) == zero
+    # a Fraction quotient, read off constant entries
+    one, two = Polynomial.constant(O2, 1), Polynomial.constant(O2, 2)
+    assert _exquo((one, one), (two, two)) == (P("1/2"),)
+    assert exact_div(P("x + y"), P("2*x + 2*y")) == P("1/2")
+    # a remainder
+    with pytest.raises(ExactDivisionError):
+        _exquo(P("x^2 + 1").coeffs_in("x"), P("x - y").coeffs_in("x"))
+
+
+def test_exact_div_errors():
+    # x*y over (y, x) by y over (z, y, x): the orderings differ
+    with pytest.raises(OrderingMismatchError):
+        exact_div(P("x*y"), parse_poly("y", O3))
+    with pytest.raises(OrderingMismatchError):
+        P("x*y") // parse_poly("y", O3)
+    with pytest.raises(ZeroPolynomialError):
+        exact_div(P("x*y"), Polynomial.zero(O2))
+    with pytest.raises(ZeroPolynomialError):
+        P("x*y") // 0
+    with pytest.raises(ExactDivisionError):
+        P("x*y + 1") // P("y")
+
+
+def test_exact_div_random_fraction_coefficients():
+    rng = random.Random(53)
+    checked = 0
+    while checked < 150:
+        p = random_poly(O3, rng) * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        q = random_poly(O3, rng, terms=3) + random_poly(O3, rng, terms=2) * Fraction(1, 3)
+        if p.is_zero() or q.is_zero():
+            continue
+        assert exact_div(p * q, q) == p
+        assert (p * q) // p == q
+        checked += 1
+
+
 def test_gcd():
     g = P("x + y")
     a, b = g * P("x - 1"), g * P("y^2 + 2")
@@ -91,7 +155,7 @@ def _assert_gcd(p, q, planted=None):
     g = poly_gcd(p, q)
     assert g == integer_normalized(g)
     if planted is not None:
-        assert divides(planted, g)
+        exact_div(g, planted)  # raises unless planted divides g
     a, b = exact_div(p, g), exact_div(q, g)
     # the cofactors share no factor: their resultant in every variable
     # they both contain, the main variable among them, is non-zero
@@ -420,6 +484,22 @@ def test_resultant_sylvester_oracle_random():
 def test_discriminant():
     assert discriminant(P("x^2 - 2"), "x") == Polynomial.constant(O2, Fraction(8))
     assert discriminant(P("(x - 1)*(x - 1)"), "x").is_zero()
+
+
+def test_discriminant_sylvester_oracle_random():
+    # discriminant(p, v) * lc_v(p) is the signed Sylvester resultant of p
+    # and dp/dv; the oracle divides nothing
+    rng = random.Random(59)
+    checked = 0
+    while checked < 80:
+        p = random_poly(O3, rng, max_deg=3, terms=4)
+        if checked % 3 == 0:
+            p = p * Fraction(1, rng.randint(2, 5))
+        v = O3.names[checked % 3]
+        if p.degree_in(v) < 2:
+            continue
+        assert discriminant(p, v) * p.leading_coeff_in(v) == sylvester_discriminant(p, v)
+        checked += 1
 
 
 def test_squarefree():
