@@ -28,7 +28,11 @@ images, so an image gcd of degree 0 proves that g is free of v; g is then
 the gcd of the contents in v.  The test is exact, not heuristic.  Otherwise
 (both points lost a leading coefficient, or gave a non-constant image gcd)
 the subresultant PRS computes the gcd.  Most pairs of a squarefree basis are
-coprime and never reach the PRS.
+coprime and never reach the PRS.  A squarefree basis and the resultants of
+projection pair each polynomial with many partners, so a polynomial keeps
+its two images in its main variable and its content in the variable last
+asked for (content_primitive), both taken on first read: each is computed
+once per polynomial, not once per pair.
 
 Two kernels work on dense coefficient lists in a main variable, lowest
 degree first, whose entries are ints or Polynomials free of that variable:
@@ -162,11 +166,14 @@ class Polynomial:
     terms maps exponent tuples (one entry per variable of the order) to
     non-zero coefficients: an int when integral, a Fraction otherwise.
     Instances are immutable and hashable; equal term maps mean equal
-    polynomials (canonical form), whatever the coefficient types.  The hash
-    and the degree vector are computed on first read and kept.
+    polynomials (canonical form), whatever the coefficient types.  The hash,
+    the degree vector, the content in the variable last asked for
+    (content_primitive) and the two integer images of the coprimality test
+    (_coprime_image) are computed on first read and kept; none of them
+    takes part in equality or hashing.
     """
 
-    __slots__ = ("order", "terms", "_hash", "_degrees")
+    __slots__ = ("order", "terms", "_hash", "_degrees", "_content", "_images")
 
     def __init__(self, order, terms, _clean=False):
         self.order = order
@@ -186,6 +193,8 @@ class Polynomial:
             self.terms = int_coeffs({e: c for e, c in clean.items() if c != 0})
         self._hash = None
         self._degrees = None
+        self._content = None  # (v, content in v), None standing for content 1
+        self._images = None
 
     # -- constructors ------------------------------------------------------
 
@@ -818,20 +827,28 @@ def integer_image(p, point, vi=None):
     return out
 
 
-def _coprime_image(p, q, v):
+def _main_images(p):
+    """p's integer images in its main variable at the two points of
+    _coprime_image, taken on first read and kept on p."""
+    images = p._images
+    if images is None:
+        order = p.order
+        vi = order.index(p.main_variable())
+        n = len(order)
+        images = p._images = (integer_image(p, [(i + 2, 1) for i in range(n)], vi),
+                              integer_image(p, [(-(i + 3), 1) for i in range(n)], vi))
+    return images
+
+
+def _coprime_image(p, q):
     """True when an image gcd of degree 0, at a point where neither
-    leading coefficient in v vanishes, proves gcd(p, q) free of v.  False
-    proves nothing: both points lost a leading coefficient or gave a
-    non-constant image gcd.  The points are small distinct integers by
-    position: 2, 3, 4, ... and then -3, -4, -5, ..."""
-    vi = p.order.index(v)
-    n = len(p.order)
-    for point in ([(i + 2, 1) for i in range(n)], [(-(i + 3), 1) for i in range(n)]):
-        a = integer_image(p, point, vi)
-        if not a[-1]:
-            continue
-        b = integer_image(q, point, vi)
-        if b[-1] and len(ugcd(a, b)) == 1:
+    leading coefficient in v vanishes, proves gcd(p, q) free of v, the main
+    variable of both.  False proves nothing: both points lost a leading
+    coefficient or gave a non-constant image gcd.  The points are small
+    distinct integers by position: 2, 3, 4, ... and then -3, -4, -5, ...
+    Each side's images are taken once per polynomial (_main_images)."""
+    for a, b in zip(_main_images(p), _main_images(q)):
+        if a[-1] and b[-1] and len(ugcd(a, b)) == 1:
             return True
     return False
 
@@ -843,10 +860,12 @@ def poly_gcd(p, q):
     other variables where neither leading coefficient in v vanishes.  The
     gcd g keeps its degree in v at a (lc(g) divides lc(p)), and g(a) divides
     p(a) and q(a), so deg_v g <= deg gcd(p(a), q(a)).  When that image gcd
-    is constant, g is free of v and equals gcd(cont_v p, cont_v q): the gcd
-    of every coefficient of p and q in v.  Otherwise g is the primitive
-    part of the last non-zero member of the subresultant PRS of p's and q's
-    primitive parts in v, times gcd(cont_v p, cont_v q).
+    is constant, g is free of v and equals gcd(cont_v p, cont_v q).
+    Otherwise g is the primitive part of the last non-zero member of the
+    subresultant PRS of p's and q's primitive parts in v, times
+    gcd(cont_v p, cont_v q).  Every content in v is read through
+    content_primitive, so it is computed once per polynomial, and the
+    images of the test once per polynomial (_coprime_image).
     """
     if p.is_zero():
         return integer_normalized(q) if not q.is_zero() else q
@@ -857,22 +876,20 @@ def poly_gcd(p, q):
     vp = p.main_variable()
     vq = q.main_variable()
     v = vp if p.order.index(vp) >= p.order.index(vq) else vq
-    if p.degree_in(v) == 0 or q.degree_in(v) == 0:
+    if p.degree_in(v) == 0:
         # One side is free of the top variable: gcd divides its content.
-        if p.degree_in(v) == 0:
-            const_side, other = p, q
-        else:
-            const_side, other = q, p
-        cont = _gcd_many(other.coeffs_in(v))
-        return poly_gcd(const_side, cont)
-    if _coprime_image(p, q, v):
-        return _gcd_many(p.coeffs_in(v) + q.coeffs_in(v))
-    cp, cq = p.coeffs_in(v), q.coeffs_in(v)
+        return poly_gcd(p, content_primitive(q, v)[0])
+    if q.degree_in(v) == 0:
+        return poly_gcd(q, content_primitive(p, v)[0])
+    cont_p, prim_p = content_primitive(p, v)
+    cont_q, prim_q = content_primitive(q, v)
+    cont_g = poly_gcd(cont_p, cont_q)
+    if _coprime_image(p, q):
+        return cont_g
+    cp, cq = prim_p.coeffs_in(v), prim_q.coeffs_in(v)
     if len(cp) < len(cq):
         cp, cq = cq, cp
-    cont_p, cont_q = _gcd_many(cp), _gcd_many(cq)
-    cont_g = poly_gcd(cont_p, cont_q)
-    last = _subresultant_prs(_exquo(cp, (cont_p,)), _exquo(cq, (cont_q,)))[1]
+    last = _subresultant_prs(cp, cq)[1]
     if len(last) == 1:
         return cont_g
     last = _exquo(last, (_gcd_many(last),))
@@ -884,13 +901,25 @@ def poly_gcd(p, q):
 
 
 def content_primitive(p, v):
-    """Content (gcd of coefficients w.r.t. v, normalized) and primitive part."""
+    """Content (gcd of coefficients w.r.t. v, normalized) and primitive part.
+
+    The content is computed on first read and kept on p for the variable
+    last asked for, so the pairwise gcds and resultants of projection take
+    each polynomial's content once; the primitive part is p itself when the
+    content is 1 and is divided out afresh otherwise."""
     if p.is_zero():
         raise ZeroPolynomialError("content of zero polynomial")
-    coeffs = [c for c in p.coeffs_in(v) if not c.is_zero()]
-    cont = _gcd_many(coeffs)
-    prim = exact_div(p, cont)
-    return cont, prim
+    kept = p._content
+    if kept is not None and kept[0] == v:
+        cont = kept[1]
+    else:
+        cont = _gcd_many([c for c in p.coeffs_in(v) if not c.is_zero()])
+        if cont.is_constant():
+            cont = None
+        p._content = (v, cont)
+    if cont is None:
+        return Polynomial.constant(p.order, 1), p
+    return cont, exact_div(p, cont)
 
 
 def is_primitive(p, v):

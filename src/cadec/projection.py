@@ -113,8 +113,9 @@ def reduced_project(ec, others, v):
     out = {integer_normalized(p) for p in lower}
     ec = squarefree_part(ec, v)
     _add_coeffs_and_discriminant(out, ec, v)
+    ec_normal = integer_normalized(ec)
     for g in sorted(mains, key=str):
-        if integer_normalized(g) == integer_normalized(ec):
+        if integer_normalized(g) == ec_normal:
             continue
         r = resultant(ec, g, v)
         if not r.is_constant():

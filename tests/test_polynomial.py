@@ -239,19 +239,19 @@ def test_gcd_image_fallbacks():
     # at the first point and the images agree at the second, so it proves
     # nothing and the PRS finds the pair coprime.
     p, q = P("(y - 2)*x + 1"), P("(2*y + 1)*x + 1")
-    assert not _coprime_image(p, q, "x")
+    assert not _coprime_image(p, q)
     assert poly_gcd(p, q) == Polynomial.constant(O2, 1)
     # a common factor whose leading coefficient vanishes at the first point
     h = P("(y - 2)*x + 1")
     assert poly_gcd(h * P("x + 1"), h * P("x - 1")) == h
     # at y = 2 both images are x + 2; at y = -3 they are coprime
-    assert _coprime_image(P("x + y"), P("x + 2*y - 2"), "x")
+    assert _coprime_image(P("x + y"), P("x + 2*y - 2"))
     # a common factor is never ruled out; its content part is kept
     g = P("(y + 1)*(x - y)")
-    assert not _coprime_image(g * P("x + 1"), g * P("x*y - 3"), "x")
+    assert not _coprime_image(g * P("x + 1"), g * P("x*y - 3"))
     assert poly_gcd(g * P("x + 1"), g * P("x*y - 3")) == integer_normalized(g)
     # coprime in x, with a common content
-    assert _coprime_image(P("(y + 1)*x"), P("(y + 1)*(x + 1)"), "x")
+    assert _coprime_image(P("(y + 1)*x"), P("(y + 1)*(x + 1)"))
     assert poly_gcd(P("(y + 1)*x"), P("(y + 1)*(x + 1)")) == P("y + 1")
 
 
@@ -306,6 +306,56 @@ def test_content_primitive_reconstruction_random():
             continue
         cont, prim = content_primitive(p, v)
         assert cont * prim == p
+
+
+def _fresh(p):
+    """A copy of p with nothing computed on it yet."""
+    return Polynomial(p.order, dict(p.terms))
+
+
+def test_kept_content_and_images_change_no_answer():
+    # content_primitive keeps p's content in the variable last asked for and
+    # _coprime_image keeps p's two images; a polynomial read through both
+    # answers as a fresh copy does, and stays equal to it with the same hash
+    rng = random.Random(53)
+    for trial in range(60):
+        p = random_poly(O3, rng)
+        if p.degree_in("x") == 0:
+            continue
+        if trial % 2:  # a content in x of degree > 0
+            c = random_poly(O3, rng, max_deg=2, terms=2)
+            c = Polynomial(O3, {e: k for e, k in c.terms.items() if not e[2]})
+            if not c.is_zero():
+                p = p * c
+        for v in ("x", "x", "y", "x"):
+            assert content_primitive(p, v) == content_primitive(_fresh(p), v)
+        q = random_poly(O3, rng)
+        if q.degree_in("x"):
+            assert _coprime_image(p, q) == _coprime_image(_fresh(p), _fresh(q))
+            assert _coprime_image(q, p) == _coprime_image(_fresh(q), _fresh(p))
+        assert p == _fresh(p) and hash(p) == hash(_fresh(p))
+    # lc(p) = y - 2 vanishes at the first point: p's images were kept from
+    # an earlier pair, and the fallback pair still proves nothing
+    p, q = P("(y - 2)*x + 1"), P("(2*y + 1)*x + 1")
+    assert _coprime_image(p, P("x + y"))
+    assert not _coprime_image(p, q) and not _coprime_image(_fresh(p), _fresh(q))
+    assert poly_gcd(p, q) == Polynomial.constant(O2, 1)
+
+
+def test_content_is_taken_once_per_polynomial(monkeypatch):
+    # work guard: a second content_primitive on the same object in the same
+    # variable reads the kept content and takes no gcd of coefficients
+    import cadec.polynomial as polynomial
+
+    calls = []
+    real = polynomial._gcd_many
+    monkeypatch.setattr(polynomial, "_gcd_many", lambda ps: calls.append(ps) or real(ps))
+    p = P("(y^2 - 1)*x^2 + (y^2 - 1)")
+    first = content_primitive(p, "x")
+    assert calls
+    calls.clear()
+    assert content_primitive(p, "x") == first
+    assert not calls
 
 
 def test_is_primitive():

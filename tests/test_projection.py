@@ -181,3 +181,24 @@ def test_plan_work_independent_of_hash_seed(time_budget):
                              capture_output=True, text=True, check=True)
         counts.append(int(out.stdout))
     assert counts[0] == counts[1] > 0
+
+
+def test_projection_images_each_polynomial_at_most_twice(monkeypatch):
+    # work guard: poly_gcd's coprimality test takes two integer images per
+    # polynomial and keeps them, so the pairwise gcds of a squarefree basis
+    # do not image the same polynomial once per partner; every counted
+    # object is kept alive, since ids are reused
+    import cadec.polynomial as polynomial
+
+    counted = {}
+    real = polynomial.integer_image
+
+    def counting(p, point, vi=None):
+        counted.setdefault(id(p), [p, 0])[1] += 1
+        return real(p, point, vi)
+
+    monkeypatch.setattr(polynomial, "integer_image", counting)
+    f = generate_dh(1)
+    plan_projection(f, f.order, "none")
+    assert counted
+    assert max(n for _, n in counted.values()) <= 2
