@@ -1,15 +1,22 @@
 """Buchberger's algorithm, ideal dimension, and elimination ideals.
 
-normal_form divides by a heap.  Each generator's leading monomial is taken
-once, and its tail is kept scaled by 1/lc.  The dividend lives in one
-mutable {exponent: coefficient} map (an int when integral, a Fraction
-otherwise, as in Polynomial), and a heap of order keys yields its next
-largest monomial; a term that cancelled is dropped when it surfaces.  A
-reduction step subtracts coeff * shift * tail term by term, so no
-Polynomial is built per step.  The divisor of a term is still the first
-generator, in basis.gens order, whose leading monomial divides it, so the
-remainder is that of plain multivariate division for every basis, Groebner
-or not.
+normal_form divides by a heap, fraction-free: on integers, by the
+pseudo-division of Geddes, Czapor and Labahn (Algorithms for Computer
+Algebra, 1992, ch. 10).  Each generator is taken once as a divisor: its
+leading monomial, and the generator scaled to integers of content 1, split
+into its leading coefficient a and its tail.  The dividend is scaled to
+integers by the lcm of its denominators and lives in one mutable
+{exponent: int} map, beside one integer scale: the map is scale times the
+part of the dividend still to divide.  A heap of order keys yields its next
+largest monomial, and a term that cancelled is dropped when it surfaces.
+A step on the term c*m, with g = gcd(c, a), multiplies the map and the
+scale by a/g (when it is not 1) and subtracts (c/g) * shift * tail term by
+term, so no Polynomial and no Fraction is built per step.  A term that no
+generator reduces goes to the remainder divided by the scale in force at
+that moment, so the remainder is the exact one over Q.  The divisor of a
+term is still the first generator, in basis.gens order, whose leading
+monomial divides it, so the remainder is that of plain multivariate
+division for every basis, Groebner or not.
 
 buchberger keeps a pair set under the Gebauer-Moeller update (1988).  A new
 generator h pairs with each live generator g.  Of these pairs, criterion F
@@ -33,9 +40,12 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd
 from operator import itemgetter, le
 
-from .polynomial import Polynomial, PolynomialError, coeff_quotient, int_coeffs
+from .polynomial import (
+    Polynomial, PolynomialError, coeff_quotient, integer_normalized, integer_terms,
+)
 
 
 class GroebnerError(PolynomialError):
@@ -101,8 +111,9 @@ class IdealBasis:
         return self.morder.order
 
     def divisors(self):
-        """(leading monomial, tail scaled by 1/lc) of each non-zero
-        generator, in gens order; computed once."""
+        """(leading monomial, leading coefficient, tail) of each non-zero
+        generator scaled to integers of content 1, in gens order; computed
+        once.  The tail is a list of (exponent, int) pairs."""
         if self._divisors is None:
             self._divisors = [_divisor(g, self.morder) for g in self.gens
                               if not g.is_zero()]
@@ -132,22 +143,25 @@ def _lcm(a, b):
 
 
 def _divisor(g, morder):
-    lead, lc = morder.leading(g)
-    return lead, [(e, coeff_quotient(c, lc)) for e, c in g.terms.items() if e != lead]
+    h = integer_normalized(g)
+    lead, lc = morder.leading(h)
+    return lead, lc, [(e, c) for e, c in h.terms.items() if e != lead]
 
 
 def normal_form(p, basis):
     """Remainder of multivariate division of p by the basis generators.
 
     Each term is divided by the first generator, in basis.gens order, whose
-    leading monomial divides it."""
+    leading monomial divides it.  The division runs on integers (see the
+    module docstring); the remainder is exact over Q."""
     morder = basis.morder
     order = morder.order
     if p.order != order:
         raise GroebnerError("mixed variable orderings")
     divisors = basis.divisors()
     heap_key = morder.heap_key
-    work = dict(p.terms)
+    scale, work = integer_terms(p)
+    work = dict(work)
     heap = [(heap_key(e), e) for e in work]
     heapify(heap)
     remainder = {}
@@ -156,8 +170,14 @@ def normal_form(p, basis):
         coeff = work.pop(expt, None)
         if coeff is None:
             continue  # the term cancelled, or was taken from an earlier entry
-        for lead, tail in divisors:
+        for lead, lc, tail in divisors:
             if all(map(le, lead, expt)):
+                g = gcd(coeff, lc)
+                mult = lc // g
+                if mult != 1:
+                    work = {e: c * mult for e, c in work.items()}
+                    scale *= mult
+                coeff //= g
                 shift = [a - b for a, b in zip(expt, lead)]
                 for texpt, tcoeff in tail:
                     m = tuple(map(int.__add__, shift, texpt))
@@ -173,8 +193,8 @@ def normal_form(p, basis):
                             del work[m]
                 break
         else:
-            remainder[expt] = coeff
-    return Polynomial(order, int_coeffs(remainder), _clean=True)
+            remainder[expt] = coeff_quotient(coeff, scale)
+    return Polynomial(order, remainder, _clean=True)
 
 
 def s_polynomial(f, g, morder):

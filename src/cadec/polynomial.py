@@ -629,16 +629,21 @@ def parse_poly(text, order):
 # normalization
 
 
+def integer_terms(p):
+    """(den, terms): den the lcm of p's coefficient denominators and terms
+    p's term map times den, all ints (p.terms itself when den is 1)."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    if den == 1:
+        return 1, p.terms
+    return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
 def integer_normalized(p):
     """Scale to integer coefficients with content 1 and positive leading
     coefficient (lex leading term, highest variable most significant)."""
     if p.is_zero():
         return p
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    if den == 1:
-        terms = p.terms
-    else:
-        terms = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    den, terms = integer_terms(p)
     g = _int_gcd(*terms.values())
     if terms[p.leading_term()[0]] < 0:
         g = -g
@@ -892,8 +897,8 @@ def poly_gcd(p, q):
     last = _subresultant_prs(cp, cq)[1]
     if len(last) == 1:
         return cont_g
-    last = _exquo(last, (_gcd_many(last),))
-    return integer_normalized(from_coeffs(last, v, p.order) * cont_g)
+    g = from_coeffs(_exquo(last, (_gcd_many(last),)), v, p.order)
+    return integer_normalized(g if cont_g.is_constant() else g * cont_g)
 
 
 # ---------------------------------------------------------------------------

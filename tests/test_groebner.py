@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -25,11 +26,16 @@ def lex(order=OZ):
 O4 = VarOrder(["w", "y", "x", "z"])
 
 
-def random_poly(order, rng, terms=3, top=2):
+def random_poly(order, rng, terms=3, top=2, den=1):
+    """terms random terms, with coefficients n/d for -5 <= n <= 5 and
+    1 <= d <= den."""
     p = Polynomial.zero(order)
     for _ in range(terms):
         expt = tuple(rng.randint(0, top) for _ in range(len(order)))
-        p = p + Polynomial.monomial(order, expt, Fraction(rng.randint(-5, 5)))
+        coeff = Fraction(rng.randint(-5, 5))
+        if den > 1:
+            coeff /= rng.randint(1, den)
+        p = p + Polynomial.monomial(order, expt, coeff)
     return p
 
 
@@ -101,11 +107,15 @@ def test_dimension_requires_groebner():
 @pytest.mark.parametrize("order", [OZ, O4], ids=["3vars", "4vars"])
 def test_normal_form_matches_reference_division(kind, order):
     # random generator lists are not Groebner bases, so the remainder
-    # depends on which generator divides each term: the first that can
+    # depends on which generator divides each term: the first that can.
+    # From trial 40 on, dividends and generators have non-integral
+    # coefficients, and a generator with leading coefficient -2, -3 or -4
+    # goes first, so that the integer division rescales the dividend.
     rng = random.Random(7)
     morder = MonomialOrder(kind, order)
-    for trial in range(40):
-        gens = [random_poly(order, rng) for _ in range(rng.randint(1, 4))]
+    for trial in range(80):
+        den = 1 if trial < 40 else 6
+        gens = [random_poly(order, rng, den=den) for _ in range(rng.randint(1, 4))]
         if trial % 3 == 1:
             gens.insert(rng.randrange(len(gens) + 1), Polynomial.zero(order))
         g = gens[-1]
@@ -114,9 +124,34 @@ def test_normal_form_matches_reference_division(kind, order):
             expt, coeff = morder.leading(g)
             twin = Polynomial.monomial(order, expt, coeff) + rng.randint(1, 5)
             gens.insert(rng.randrange(len(gens)), twin)
-        p = random_poly(order, rng, terms=6, top=3)
+        if trial >= 40:
+            lead = random_poly(order, rng, terms=2, top=1, den=den)
+            if not lead.is_zero():
+                expt, coeff = morder.leading(lead)
+                gens.insert(0, lead * Fraction(-rng.randint(2, 4) * coeff.denominator,
+                                               coeff.numerator))
+        p = random_poly(order, rng, terms=6, top=3, den=den)
         assert (normal_form(p, IdealBasis(gens, morder))
                 == reference_normal_form(p, gens, morder))
+
+
+@pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+def test_divisors_hold_integers_of_content_one(kind):
+    # each entry is its generator times a rational, with int coefficients of
+    # content 1; the monic basis has Fraction tails
+    morder = MonomialOrder(kind, OZ)
+    raw = IdealBasis([P("2/3*z^2 - 4/9*x + 2"), P("-6*x*y + 4*y - 10"), P("x")], morder)
+    monic = buchberger([P("3*z^2 - x"), P("2*z*x - 5*y + 1"), P("7*y^2 - 3")], morder)
+    assert any(type(c) is Fraction for g in monic for c in g.terms.values())
+    for basis in (raw, monic):
+        assert len(basis.divisors()) == len(basis.gens)
+        for g, (lead, lc, tail) in zip(basis.gens, basis.divisors()):
+            glead, gcoeff = morder.leading(g)
+            assert lead == glead
+            coeffs = [lc] + [c for _, c in tail]
+            assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
+            scaled = Polynomial(OZ, {lead: lc, **dict(tail)})
+            assert scaled * gcoeff == g * lc
 
 
 @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
