@@ -149,10 +149,10 @@ def cmd_gb(args):
     if args.order == "lex":
         for i in range(1, len(names)):
             keep = tuple(order.names[:i])
-            elim = elimination_ideal(basis, keep)
+            elim = elimination_ideal(basis, keep)  # a set: print in gens order
             print("elimination onto {%s}: %s"
                   % (",".join(keep),
-                     "; ".join(poly_to_str(g) for g in elim) or "(0)"))
+                     "; ".join(poly_to_str(g) for g in basis.gens if g in elim) or "(0)"))
     return EXIT_OK
 
 

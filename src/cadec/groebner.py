@@ -28,12 +28,16 @@ lcm(LM(g), LM(h)) equals it.  A generator is live until a later one's
 leading monomial divides its own, and S-polynomials are reduced by the live
 generators only; an input generator is reduced by them before it joins.
 The next pair is the one with the smallest lcm under the monomial order
-(the normal strategy).
+(the normal strategy).  Each generator is held once, as integers of
+content 1 (integer_normalized), and its divisor entry is read off that same
+polynomial.  s_polynomial gives the S-polynomial up to a non-zero rational
+factor, on ints.
 
 The live generators form a Groebner basis with pairwise non-dividing
-leading monomials, so reducing each tail by the others gives the reduced
-monic basis.  That basis is unique for the ideal and the order, so neither
-the pair order nor the criteria change any output.
+leading monomials, so reducing each by the others and dividing it by its
+leading coefficient gives the reduced monic basis.  That basis is unique
+for the ideal and the order, so neither the pair order nor the criteria
+change any output.
 """
 
 from __future__ import annotations
@@ -115,8 +119,8 @@ class IdealBasis:
         generator scaled to integers of content 1, in gens order; computed
         once.  The tail is a list of (exponent, int) pairs."""
         if self._divisors is None:
-            self._divisors = [_divisor(g, self.morder) for g in self.gens
-                              if not g.is_zero()]
+            self._divisors = [_divisor(integer_normalized(g), self.morder)
+                              for g in self.gens if not g.is_zero()]
         return self._divisors
 
     def __iter__(self):
@@ -130,10 +134,6 @@ class IdealBasis:
             "; ".join(str(g) for g in self.gens), self.morder.kind)
 
 
-def _monomial(order, expt, coeff=1):
-    return Polynomial(order, {tuple(expt): coeff}, _clean=True)
-
-
 def _divides_mono(a, b):
     return all(map(le, a, b))
 
@@ -142,8 +142,8 @@ def _lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def _divisor(g, morder):
-    h = integer_normalized(g)
+def _divisor(h, morder):
+    # h has int coefficients of content 1
     lead, lc = morder.leading(h)
     return lead, lc, [(e, c) for e, c in h.terms.items() if e != lead]
 
@@ -198,23 +198,26 @@ def normal_form(p, basis):
 
 
 def s_polynomial(f, g, morder):
-    (ef, cf) = morder.leading(f)
-    (eg, cg) = morder.leading(g)
+    """(b/h)*m_f*f - (a/h)*m_g*g: the S-polynomial up to a non-zero rational
+    factor, which does not change whether a normal form is zero.  a and b
+    are the leading coefficients, m_f and m_g the cofactors of the leading
+    monomials in their lcm, and h = gcd(a, b) on ints (else 1), so integral
+    input gives ints and no Fraction."""
+    (ef, a) = morder.leading(f)
+    (eg, b) = morder.leading(g)
+    if type(a) is int and type(b) is int:
+        h = gcd(a, b)
+        a, b = a // h, b // h
     lcm = _lcm(ef, eg)
     order = morder.order
-    mf = _monomial(order, tuple(a - b for a, b in zip(lcm, ef)), coeff_quotient(1, cf))
-    mg = _monomial(order, tuple(a - b for a, b in zip(lcm, eg)), coeff_quotient(1, cg))
+    mf = Polynomial.monomial(order, [x - y for x, y in zip(lcm, ef)], b)
+    mg = Polynomial.monomial(order, [x - y for x, y in zip(lcm, eg)], a)
     return mf * f - mg * g
-
-
-def _monic(p, morder):
-    _, c = morder.leading(p)
-    return Polynomial(p.order, {e: coeff_quotient(x, c) for e, x in p.terms.items()}, _clean=True)
 
 
 def buchberger(gens, morder):
     """Reduced Groebner basis of the ideal generated by gens."""
-    found = []  # every generator inserted, monic
+    found = []  # every generator inserted, as integers of content 1
     divs = []   # their divisor entries, as IdealBasis.divisors() lists them
     leads = []  # their leading monomials
     live = []   # indices of the live generators, in insertion order
@@ -223,9 +226,8 @@ def buchberger(gens, morder):
 
     def insert(r):
         nonlocal live, live_basis
-        h = _monic(r, morder)
-        found.append(h)
-        divs.append(_divisor(h, morder))
+        found.append(integer_normalized(r))
+        divs.append(_divisor(found[-1], morder))
         leads.append(divs[-1][0])
         live = _update(len(found) - 1, leads, live, pairs, morder)
         live_basis = IdealBasis([found[k] for k in live], morder,
@@ -272,14 +274,15 @@ def _update(ih, leads, live, pairs, morder):
 
 
 def _autoreduce(basis):
-    # no leading monomial divides another, so every leading term (with
-    # coefficient 1) survives the reduction of its generator by the others
+    # no leading monomial divides another, so every leading term survives
+    # the reduction of its generator by the others, which is then made monic
     gens, divs, morder = basis.gens, basis.divisors(), basis.morder
     result = []
     for i, g in enumerate(gens):
         others = IdealBasis(gens[:i] + gens[i + 1:], morder,
                             _divisors=divs[:i] + divs[i + 1:])
-        result.append((morder.key(divs[i][0]), normal_form(g, others)))
+        lead, lc, _ = divs[i]
+        result.append((morder.key(lead), normal_form(g, others) // lc))
     result.sort(key=itemgetter(0))
     return [g for _, g in result]
 

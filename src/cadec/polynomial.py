@@ -888,7 +888,8 @@ def poly_gcd(p, q):
         return poly_gcd(q, content_primitive(p, v)[0])
     cont_p, prim_p = content_primitive(p, v)
     cont_q, prim_q = content_primitive(q, v)
-    cont_g = poly_gcd(cont_p, cont_q)
+    cont_g = cont_p if cont_p.is_constant() else cont_q if cont_q.is_constant() \
+        else poly_gcd(cont_p, cont_q)  # a constant content is 1, the gcd
     if _coprime_image(p, q):
         return cont_g
     cp, cq = prim_p.coeffs_in(v), prim_q.coeffs_in(v)

@@ -80,7 +80,7 @@ def mccallum_project(ps, v):
     for p in mains:
         cont, prim = content_primitive(p, v)
         if not cont.is_constant():
-            out.add(integer_normalized(cont))
+            out.add(cont)  # normalized by content_primitive
         prims.append(prim)
     basis = sorted(squarefree_basis(prims, v), key=str)
     for b in basis:
@@ -111,11 +111,10 @@ def reduced_project(ec, others, v):
     order = ec.order
     mains, lower = _split(set(others), v, order)
     out = {integer_normalized(p) for p in lower}
-    ec = squarefree_part(ec, v)
+    ec = squarefree_part(ec, v)  # normalized
     _add_coeffs_and_discriminant(out, ec, v)
-    ec_normal = integer_normalized(ec)
     for g in sorted(mains, key=str):
-        if integer_normalized(g) == ec_normal:
+        if integer_normalized(g) == ec:
             continue
         r = resultant(ec, g, v)
         if not r.is_constant():
@@ -145,7 +144,7 @@ def propagate_ecs(ecs, v, mode):
                 r = resultant(ecs[i], ecs[j], v)
                 if r.is_constant():
                     continue
-                out.add(_candidate_norm(r))
+                out.add(squarefree_part(r, r.main_variable()))
     elif mode == "groebner":
         idx = order.index(v)
         sub = VarOrder(order.names[:idx + 1])
@@ -156,14 +155,10 @@ def propagate_ecs(ecs, v, mode):
             g = g.restricted(order)
             if g.is_constant():
                 continue
-            out.add(_candidate_norm(g))
+            out.add(squarefree_part(g, g.main_variable()))
     else:
         raise PolynomialError("unknown propagation mode %r" % mode)
     return out
-
-
-def _candidate_norm(p):
-    return integer_normalized(squarefree_part(p, p.main_variable()))
 
 
 class ECDesignation:
@@ -254,8 +249,7 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
             v = p.main_variable()
             k = order.level(v)
             if is_primitive(p, v):
-                pool[k].append(ECDesignation(
-                    k, integer_normalized(squarefree_part(p, v)), "input"))
+                pool[k].append(ECDesignation(k, squarefree_part(p, v), "input"))
             else:
                 rejected[k].append(p)
     elif isinstance(ec_policy, (list, tuple, set)):
@@ -268,7 +262,7 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
                 raise PrimitivityError(
                     "designated EC %s is imprimitive (content %s in %s)"
                     % (p, cont, v))
-            pool[k].append(ECDesignation(k, integer_normalized(squarefree_part(p, v)), "input"))
+            pool[k].append(ECDesignation(k, squarefree_part(p, v), "input"))
     else:
         raise PolynomialError("unknown ec_policy %r" % (ec_policy,))
 
@@ -298,20 +292,20 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
                 else:
                     rejected[j].append(cand)
 
-        projection_polys = {integer_normalized(p) for p in mains}
+        # members of current and ec.poly are normalized where they are made
         if ec is not None:
             lifting = {ec.poly}
             out = reduced_project(ec.poly, (mains - {ec.poly}) | lower, v) \
                 if k > 1 else set()
         else:
-            lifting = set(projection_polys)
+            lifting = set(mains)
             out = mccallum_project(mains | lower, v) if k > 1 and (mains or lower) \
                 else set()
         if len(out) > projection_cap:
             raise CapExceededError(
                 "projection set at level %d has %d polynomials (cap %d)"
                 % (k - 1, len(out), projection_cap))
-        levels[k - 1] = PlanLevel(k, v, projection_polys, lifting, ec, fallback)
+        levels[k - 1] = PlanLevel(k, v, mains, lifting, ec, fallback)
         current = out
 
     return ProjectionPlan(order, levels)

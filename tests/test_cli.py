@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import cadec
 from cadec.cli import main
 
 
@@ -109,3 +112,20 @@ def test_gb(tmp_path, capsys):
                         "--gens", str(gens)], capsys)
     assert code == 0
     assert "x - y" in out and "dimension: 1" in out
+
+
+def test_gb_output_independent_of_hash_seed(tmp_path):
+    # the elimination ideals are sets, which hash seeds 1 and 2 iterate in
+    # different orders
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x*y - z\nx*z - y\ny*z - x\n")
+    src = os.path.dirname(os.path.dirname(cadec.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "cadec.cli", "gb", "--vars", "x,y,z",
+             "--gens", str(gens)], env=env, capture_output=True, text=True,
+            check=True).stdout)
+    assert "elimination onto {z,y}: z^3 - z; y*z^2 - y; y^2 - z^2" in outs[0]
+    assert outs[0] == outs[1]

@@ -10,7 +10,7 @@ from cadec.groebner import (
     GroebnerError, IdealBasis, MonomialOrder, buchberger, dimension,
     elimination_ideal, is_trivial, normal_form, s_polynomial,
 )
-from oracles import reference_groebner, reference_normal_form
+from oracles import reference_groebner, reference_normal_form, reference_s_polynomial
 
 OZ = VarOrder(["y", "x", "z"])  # z highest
 
@@ -155,11 +155,40 @@ def test_divisors_hold_integers_of_content_one(kind):
 
 
 @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+def test_s_polynomial_is_a_rational_multiple_of_the_reference(kind):
+    # s_polynomial scales the S-polynomial by a non-zero rational, and on
+    # integral input builds ints only; from trial 60 on, coefficients are
+    # rational
+    rng = random.Random(37)
+    morder = MonomialOrder(kind, O4)
+    for trial in range(120):
+        den = 1 if trial < 60 else 6
+        f, g = (random_poly(O4, rng, terms=4, den=den) for _ in range(2))
+        if f.is_zero() or g.is_zero():
+            continue
+        s = s_polynomial(f, g, morder)
+        ref = reference_s_polynomial(f, g, morder)
+        if ref.is_zero():
+            assert s.is_zero()
+        else:
+            expt, coeff = morder.leading(ref)
+            factor = Fraction(s.terms.get(expt, 0)) / coeff
+            assert factor != 0 and s == ref * factor
+        lcm = tuple(map(max, morder.leading(f)[0], morder.leading(g)[0]))
+        assert lcm not in s.terms
+        if all(type(c) is int for p in (f, g) for c in p.terms.values()):
+            assert all(type(c) is int for c in s.terms.values())
+
+
+@pytest.mark.parametrize("kind", ["lex", "degrevlex"])
 def test_buchberger_matches_reference(kind):
     rng = random.Random(29)
     morder = MonomialOrder(kind, OZ)
     ideals = [[random_poly(OZ, rng) for _ in range(rng.randint(1, 3))]
               for _ in range(12)]
+    # rational coefficients; two terms each keep the plain reference fast
+    ideals += [[random_poly(OZ, rng, terms=2, den=6) for _ in range(3)]
+               for _ in range(4)]
     ideals += [
         [],
         [Polynomial.zero(OZ)],
@@ -171,6 +200,7 @@ def test_buchberger_matches_reference(kind):
     for gens in ideals:
         basis = buchberger(gens, morder)
         assert list(basis.gens) == reference_groebner(gens, morder)
+        assert all(morder.leading(g)[1] == 1 for g in basis)
         for f, g in combinations(basis.gens, 2):
             assert normal_form(s_polynomial(f, g, morder), basis).is_zero()
         for g in gens:
