@@ -515,8 +515,7 @@ def compare(a, b):
         return -_compare_ratio(b, -ac[0], ac[1])
     if len(bc) == 2:
         return _compare_ratio(a, -bc[0], bc[1])
-    g = ugcd(ac, bc)
-    can_be_equal = len(g) > 1
+    g = None  # the defining polynomials' gcd, taken once the intervals overlap
     while True:
         alo, ahi, ad = a.lo_num, a.hi_num, a.den
         blo, bhi, bd = b.lo_num, b.hi_num, b.den
@@ -524,7 +523,9 @@ def compare(a, b):
             return -1
         if bhi * ad <= alo * bd:
             return 1
-        if can_be_equal:
+        if g is None:
+            g = ugcd(ac, bc)
+        if len(g) > 1:
             # g has at most one root in the overlap, a simple one, and if it
             # has one that root is a and b at once
             s_c = usign(g, alo, ad) if alo * bd >= blo * ad else usign(g, blo, bd)

@@ -128,6 +128,25 @@ def test_decide_matches_eager_fold(monkeypatch):
                            for leaf in tree.leaves() if leaf.index in reached)
 
 
+@pytest.mark.parametrize("name", ["circle", "sphere"])
+def test_decide_leaves_unread_top_stacks_unmade(monkeypatch, name):
+    # exists-exists-...: the fold stops at the first true top cell, so the
+    # top stacks after it are never read and their cells never made; the
+    # counts read off their lengths equal those of the fully made tree
+    qf = next(f for fid, f, _ in load_corpus() if fid == name)
+    names = qf.order.names
+    truth, tree = _decided_tree(monkeypatch,
+                                Formula(qf.matrix, qf.order, [("exists", v) for v in names]))
+    top_stacks = [c.children for c in tree.cells_at_level(len(names) - 1)]
+    assert truth
+    assert any(s._cells is None for s in top_stacks)
+    assert any(s._cells is not None for s in top_stacks)
+    counts = lifting.cell_count(tree)
+    tree.leaves()
+    assert all(s._cells is not None for s in top_stacks)
+    assert lifting.cell_count(tree) == counts
+
+
 def test_decide_leaves_unread_leaves_unassigned(monkeypatch):
     # over each y, the exists-x fold stops at the section x = y
     f = parse_formula("forall y. exists x. x - y = 0", O2)

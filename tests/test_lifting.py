@@ -8,7 +8,7 @@ from cadec.polynomial import VarOrder, parse_poly
 from cadec.formula import evaluate_at_rationals, parse_formula
 from cadec.projection import plan_projection
 from cadec.lifting import (
-    RealLocateError, WellOrientednessError, build_cad, cell_count, cell_sign,
+    RealLocateError, Stack, WellOrientednessError, build_cad, cell_count, cell_sign,
     locate, truth_assign,
 )
 from cadec.projection import CapExceededError
@@ -298,11 +298,13 @@ def test_samples_are_built_on_first_read(policy):
 
 def test_cells_make_signs_and_children_on_demand():
     # sectors record no sign and top cells have no stack, so neither gets a
-    # container of its own until something is stored there
+    # container of its own until something is stored there; the top stacks'
+    # cells themselves are made when the walk first reads them
     import json
     order = VarOrder(["z", "y", "x"])
     f = parse_formula("x^2 + y^2 + z^2 - 1 = 0 and x + y + z > 0", order)
     tree = build_cad(plan_projection(f, order, "none"))
+    assert all(c.children._cells is None for c in tree.cells_at_level(2))
     cells = list(_walk(tree.root))
     assert all(leaf.children == () for leaf in tree.leaves())
     assert all(c._signs is None for c in cells if not c.is_section())
@@ -311,6 +313,35 @@ def test_cells_make_signs_and_children_on_demand():
     truth_assign(tree, f)
     sector = next(leaf for leaf in tree.leaves() if not leaf.is_section())
     assert sector._signs and all(s in (-1, 1) for s in sector.signs.values())
+
+
+def _counts_by_walk(tree):
+    n = len(tree.order)
+    leaves = tree.leaves()
+    sections = sum(c.is_section() for c in leaves)
+    return {"total": len(leaves),
+            "per_level": [len(tree.cells_at_level(k)) for k in range(1, n + 1)],
+            "sections": sections, "sectors": len(leaves) - sections}
+
+
+@pytest.mark.parametrize("names, text, policy, cylinders", [
+    (["x"], "x^3 - 2*x > 0", "none", False),
+    (["y", "x"], "x^2 + y^2 - 1 = 0 and x > 0", "none", False),
+    (["y", "x"], "x^2 + y^2 - 1 = 0 and x - y = 0", "auto", True),
+    (["z", "y", "x"], "x^2 + y^2 + z^2 - 1 = 0 and x + y + z = 0", "none", False),
+    (["z", "y", "x"], "x^2 + y^2 + z^2 - 1 = 0 and x + y + z = 0", "auto", True),
+])
+def test_cell_count_matches_a_walk_over_the_leaves(names, text, policy, cylinders):
+    # cell_count reads the top level off stack lengths and makes no top
+    # cell; a walk that makes every cell gives the same counts
+    order = VarOrder(names)
+    tree = build_cad(plan_projection(parse_formula(text, order), order, policy))
+    top_stacks = [c.children for c in tree.cells_at_level(len(names) - 1)]
+    counts = cell_count(tree)
+    assert all(s._cells is None for s in top_stacks if isinstance(s, Stack))
+    assert counts == _counts_by_walk(tree)
+    assert counts["sections"] > 0
+    assert any(c.cylinder for c in tree.leaves()) == cylinders
 
 
 @pytest.mark.parametrize("mode", ["si", "ec-res"])

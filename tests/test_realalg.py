@@ -53,6 +53,26 @@ def test_compare_and_refine():
     assert r2.hi - r2.lo < 1
 
 
+def test_compare_takes_the_gcd_only_on_overlap(monkeypatch):
+    # disjoint isolating intervals order two roots without a gcd of their
+    # defining polynomials; overlapping ones take it once, and it is what
+    # finds sqrt 2 equal as a root of both x^2 - 2 and x^4 - 4
+    import cadec.realalg as realalg
+    r2, r3, r22, s2 = (isolate_real_roots(parse_poly(t, O1))[-1]
+                       for t in ("x^2 - 2", "x^2 - 3", "5*x^2 - 11", "x^4 - 4"))
+    real = realalg.ugcd
+    calls = []
+    monkeypatch.setattr(realalg, "ugcd", lambda f, g: calls.append((f, g)) or real(f, g))
+    assert r2.hi <= r3.lo
+    assert compare(r2, r3) < 0 and compare(r3, r2) > 0
+    assert calls == []
+    assert r22.lo < r2.hi
+    assert compare(r2, r22) < 0
+    assert len(calls) == 1
+    assert compare(r2, s2) == 0 and compare(s2, r2) == 0
+    assert len(calls) == 3
+
+
 def test_printing_format():
     rt = isolate_real_roots(parse_poly("x^2 - 2", O1))[1]
     assert str(rt) == "root(t^2 - 2, %s, %s)" % (rt.lo, rt.hi)
