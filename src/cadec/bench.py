@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import time
 
-from .polynomial import Polynomial, VarOrder, integer_normalized, content_primitive
+from .polynomial import Polynomial, VarOrder, _dense, integer_normalized, content_primitive
 from .formula import And, Atom, Formula, Not, Or, flatten_conjuncts
 from .projection import CapExceededError, plan_projection
 from .lifting import WellOrientednessError, build_cad, cell_count, truth_assign
@@ -38,9 +38,9 @@ def _default_base_map():
 
 def _iterate_map(f, g, times):
     """f(f(...f(g)...)), the univariate f applied times times to the
-    polynomial g; f's coefficients are read once."""
+    polynomial g; f's coefficients are read once, as numbers."""
     tvar = next(iter(f.variables()))
-    coeffs = [c.constant_value() for c in f.coeffs_in(tvar)]
+    coeffs = [c if type(c) is int else c.constant_value() for c in _dense(f, tvar)]
     for _ in range(times):
         value = Polynomial.zero(g.order)
         for i, c in enumerate(coeffs):

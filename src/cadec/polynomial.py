@@ -37,21 +37,28 @@ once per polynomial, not once per pair.
 Two kernels work on dense coefficient lists in a main variable, lowest
 degree first, whose entries are ints or Polynomials free of that variable:
 the pseudo-remainder _prem and the exact division _exquo.  _exquo divides
-each quotient entry by the divisor's leading entry, with divmod on ints and
-with // (exact_div, one variable further down) on Polynomials, and raises
-ExactDivisionError on any remainder.  exact_div splits a dividend and a
-non-constant divisor with coeffs_in on the divisor's main variable and
-divides there; realalg's squarefree parts, bisection and deflation divide
-integer tuples with the same kernel.
+each quotient entry by the divisor's leading entry, with divmod when both
+are ints and with // (exact_div, one variable further down) otherwise, and
+raises ExactDivisionError on any remainder.  realalg's squarefree parts,
+bisection and deflation divide integer tuples with the same kernel.
 
 One remainder sequence, the subresultant PRS (Collins 1967; Brown 1971) of
 _subresultant_prs, serves resultant, poly_gcd and ugcd on integer tuples
 (the image gcd here, the defining polynomials of realalg), on the two
 kernels.  Each remainder is divided by the subresultant divisor that keeps
 its coefficients small, never by its content: only the inputs and the last
-non-zero member are split into content and primitive part.  The sparse
-callers split their inputs with coeffs_in once and rebuild a Polynomial with
-from_coeffs only where one is returned.
+non-zero member are split into content and primitive part.
+
+resultant, poly_gcd and content_primitive split a polynomial with _dense:
+an integer constant coefficient is the int itself, so the PRS multiplies
+and divides integers as ints, and each remainder's integral constants are
+made ints again (_ints).  A non-zero int entry proves a content 1 without a
+gcd.  resultant and poly_gcd first scale a rational input to integer
+coefficients (_integral): over Q a subresultant divisor need not divide an
+integer entry in the integers, which _exquo's divmod requires.  exact_div
+splits with coeffs_in, all Polynomials, for the same reason: its quotient
+may be rational (x + y over 2x + 2y is 1/2).  The callers rebuild a
+Polynomial with from_coeffs only where one is returned.
 """
 
 from __future__ import annotations
@@ -328,6 +335,11 @@ class Polynomial:
             other = Polynomial.constant(self.order, other)
         return exact_div(self, other)
 
+    def __rfloordiv__(self, other):
+        """The exact quotient of a coefficient by self (a list entry of the
+        remainder kernels divided by a Polynomial one)."""
+        return exact_div(Polynomial.constant(self.order, other), self)
+
     def __pow__(self, n):
         if n < 0:
             raise PolynomialError("negative power")
@@ -360,13 +372,9 @@ class Polynomial:
 
     def coeffs_in(self, v):
         """Coefficients as polynomials in the other variables, index = power of v."""
-        i = self.order.index(v)
-        d = self.degree_in(v)
-        buckets = [dict() for _ in range(d + 1)]
-        for expt, coeff in self.terms.items():
-            stripped = expt[:i] + (0,) + expt[i + 1:]
-            buckets[expt[i]][stripped] = coeff
-        return [Polynomial(self.order, b, _clean=True) for b in buckets]
+        order = self.order
+        return [c if type(c) is Polynomial else Polynomial.constant(order, c)
+                for c in _dense(self, v)]
 
     def leading_coeff_in(self, v):
         i = self.order.index(v)
@@ -632,6 +640,8 @@ def parse_poly(text, order):
 def integer_terms(p):
     """(den, terms): den the lcm of p's coefficient denominators and terms
     p's term map times den, all ints (p.terms itself when den is 1)."""
+    if {int}.issuperset(map(type, p.terms.values())):
+        return 1, p.terms
     den = lcm(*(c.denominator for c in p.terms.values()))
     if den == 1:
         return 1, p.terms
@@ -673,12 +683,62 @@ def exact_div(p, q):
     return from_coeffs(_exquo(p.coeffs_in(v), q.coeffs_in(v)), v, p.order)
 
 
-def from_coeffs(coeffs, v, order):
-    """The polynomial sum of coeffs[k] v^k, each coeffs[k] free of v."""
+def _dense(p, v):
+    """p's coefficient list in v, lowest degree first, as the kernels below
+    take it: 0 for an absent power, the int itself for a coefficient that is
+    one integer constant, and otherwise a Polynomial free of v.  So the
+    subresultant PRS multiplies integer coefficients as ints."""
+    order = p.order
     i = order.index(v)
-    return Polynomial(order, {e[:i] + (k,) + e[i + 1:]: x
-                              for k, c in enumerate(coeffs) for e, x in c.terms.items()},
-                      _clean=True)
+    buckets = [{} for _ in range(p.degree_in(v) + 1)]
+    for expt, coeff in p.terms.items():
+        buckets[expt[i]][expt[:i] + (0,) + expt[i + 1:]] = coeff
+    zero = (0,) * len(order)
+    out = []
+    for b in buckets:
+        c = b.get(zero) if len(b) == 1 else None
+        if type(c) is not int:
+            c = Polynomial(order, b, _clean=True) if b else 0
+        out.append(c)
+    return out
+
+
+def _integral(p):
+    """(den, den * p), den the lcm of p's coefficient denominators (p itself
+    when den is 1).  The subresultant PRS of resultant and poly_gcd runs on
+    integral inputs, so that each of its divisions is exact in the integers
+    and an int entry divides an int by divmod (_exquo)."""
+    den, terms = integer_terms(p)
+    return den, p if den == 1 else Polynomial(p.order, terms, _clean=True)
+
+
+def _ints(coeffs):
+    """coeffs as a tuple, each constant Polynomial entry with an integer
+    value made that int, as _dense gives it."""
+    out = []
+    for c in coeffs:
+        if type(c) is not int and c.is_constant():
+            k = c.constant_value()
+            if type(k) is int:
+                c = k
+        out.append(c)
+    return tuple(out)
+
+
+def from_coeffs(coeffs, v, order):
+    """The polynomial sum of coeffs[k] v^k, each coeffs[k] an int or a
+    Polynomial free of v."""
+    i = order.index(v)
+    zero = (0,) * len(order)
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if type(c) is int:
+            if c:
+                terms[zero[:i] + (k,) + zero[i + 1:]] = c
+        else:
+            for e, x in c.terms.items():
+                terms[e[:i] + (k,) + e[i + 1:]] = x
+    return Polynomial(order, terms, _clean=True)
 
 
 def _prem(a, b):
@@ -705,8 +765,9 @@ def _prem(a, b):
 def _exquo(a, b):
     """The exact quotient a / b on coefficient lists as for _prem.  Each
     quotient entry is the top remaining entry of a divided by lc(b): by
-    divmod on ints, since int // does not check, and by // (exact_div) on
-    Polynomials.  Raises ExactDivisionError on any remainder."""
+    divmod when both are ints, since int // does not check, and by //
+    (exact_div) when either is a Polynomial.  Raises ExactDivisionError on
+    any remainder."""
     if b == (1,):  # every first step of the subresultant PRS
         return tuple(a)
     rem = list(a)
@@ -716,7 +777,7 @@ def _exquo(a, b):
     for shift in range(len(quotient) - 1, -1, -1):
         c = rem.pop()
         if c:
-            if type(c) is int:
+            if type(c) is int and type(lb) is int:
                 c, r = divmod(c, lb)
                 if r:
                     raise ExactDivisionError("%s does not divide %s" % (b, a))
@@ -739,7 +800,8 @@ def _subresultant_prs(a, b):
     whether the sign flips (one per step between two odd degrees) are odd
     in number.  last is a multiple of the gcd of a and b, of the same
     degree; when it is a constant, the resultant is +-last[0]^d / h^(d - 1),
-    d the degree of prev."""
+    d the degree of prev.  Each remainder's integral constant entries are
+    ints (_ints), as in a _dense split, whatever cancelled to give them."""
     g = h = 1
     odd = False
     while len(b) > 1:
@@ -749,13 +811,23 @@ def _subresultant_prs(a, b):
         r = _prem(a, b)
         if not r:
             break
-        a, b = b, _exquo(r, (g * h ** delta,))
+        a, b = b, _ints(_exquo(r, (g * h ** delta,)))
         g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
             h = g ** delta // h ** (delta - 1)
     return a, b, h, odd
+
+
+def _list_content(coeffs):
+    """The normalized gcd of the non-zero entries of a coefficient list as
+    _dense gives it, None when that is 1.  A non-zero int entry proves it 1
+    without a gcd."""
+    if any(c for c in coeffs if type(c) is int):
+        return None
+    cont = _gcd_many([c for c in coeffs if c])
+    return None if cont.is_constant() else cont
 
 
 def _gcd_many(polys):
@@ -892,13 +964,14 @@ def poly_gcd(p, q):
         else poly_gcd(cont_p, cont_q)  # a constant content is 1, the gcd
     if _coprime_image(p, q):
         return cont_g
-    cp, cq = prim_p.coeffs_in(v), prim_q.coeffs_in(v)
+    cp, cq = _dense(_integral(prim_p)[1], v), _dense(_integral(prim_q)[1], v)
     if len(cp) < len(cq):
         cp, cq = cq, cp
     last = _subresultant_prs(cp, cq)[1]
     if len(last) == 1:
         return cont_g
-    g = from_coeffs(_exquo(last, (_gcd_many(last),)), v, p.order)
+    cont = _list_content(last)
+    g = from_coeffs(last if cont is None else _exquo(last, (cont,)), v, p.order)
     return integer_normalized(g if cont_g.is_constant() else g * cont_g)
 
 
@@ -912,16 +985,15 @@ def content_primitive(p, v):
     The content is computed on first read and kept on p for the variable
     last asked for, so the pairwise gcds and resultants of projection take
     each polynomial's content once; the primitive part is p itself when the
-    content is 1 and is divided out afresh otherwise."""
+    content is 1 and is divided out afresh otherwise.  The content is read
+    off p's _dense split, so an integer coefficient proves it 1."""
     if p.is_zero():
         raise ZeroPolynomialError("content of zero polynomial")
     kept = p._content
     if kept is not None and kept[0] == v:
         cont = kept[1]
     else:
-        cont = _gcd_many([c for c in p.coeffs_in(v) if not c.is_zero()])
-        if cont.is_constant():
-            cont = None
+        cont = _list_content(_dense(p, v))
         p._content = (v, cont)
     if cont is None:
         return Polynomial.constant(p.order, 1), p
@@ -958,12 +1030,22 @@ def resultant(p, q, v):
         dp, dq = dq, dp
     cont_a, a = content_primitive(p, v)
     cont_b, b = content_primitive(q, v)
-    t = cont_a ** dq * cont_b ** dp
-    a, b, h, odd = _subresultant_prs(a.coeffs_in(v), b.coeffs_in(v))
+    den_a, a = _integral(a)
+    den_b, b = _integral(b)
+    a, b, h, odd = _subresultant_prs(_dense(a, v), _dense(b, v))
     if len(b) > 1:
         return Polynomial.zero(p.order)
     da = len(a) - 1
-    result = t * (b[0] if da == 1 else b[0] ** da // h ** (da - 1))
+    r = b[0] if da == 1 else b[0] ** da // h ** (da - 1)
+    result = r if type(r) is Polynomial else Polynomial.constant(p.order, r)
+    den = den_a ** dq * den_b ** dp  # res(c*a, b) = c^deg(b) * res(a, b)
+    if den != 1:
+        result = result // den
+    # a constant content is 1
+    if not cont_a.is_constant():
+        result = result * cont_a ** dq
+    if not cont_b.is_constant():
+        result = result * cont_b ** dp
     return -result if odd ^ swap_odd else result
 
 

@@ -9,6 +9,7 @@ from .polynomial import (
     DegenerateResultantError,
     PolynomialError,
     VarOrder,
+    _dense,
     content_primitive,
     discriminant,
     integer_normalized,
@@ -53,8 +54,8 @@ def _split(ps, v, order):
 def _add_coeffs_and_discriminant(out, p, v):
     """Add to out p's non-constant coefficients in v and, if p has degree 2
     or more in v, its discriminant unless that is constant."""
-    for c in p.coeffs_in(v):
-        if not c.is_zero() and not c.is_constant():
+    for c in _dense(p, v):
+        if type(c) is not int and not c.is_constant():  # int entries are constants
             out.add(integer_normalized(c))
     if p.degree_in(v) >= 2:
         d = discriminant(p, v)

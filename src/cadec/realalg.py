@@ -115,6 +115,7 @@ from .polynomial import (
     VarOrder,
     ZeroPolynomialError,
     PolynomialError,
+    _dense,
     _exquo,
     exact_div,
     integer_image,
@@ -898,10 +899,11 @@ def _isolate_above(p, cmap, v, memo):
             return []
         return isolate_coeffs(univ)
 
+    # _dense gives a zero coefficient as the int 0 and never as a Polynomial
     coeff_signs = [
-        c.constant_value() != 0 if c.is_constant()
-        else sign_at_map(c, cmap, memo) != 0
-        for c in q.coeffs_in(v)]
+        c != 0 if type(c) is int
+        else c.is_constant() or sign_at_map(c, cmap, memo) != 0
+        for c in _dense(q, v)]
     if not any(coeff_signs):
         return IDENTICALLY_ZERO
     if not any(coeff_signs[1:]):

@@ -39,6 +39,9 @@ def test_dh_target():
     assert dh_target(2) == parse_poly("x0 - y0^16", dh_order(2))
     cube = parse_poly("t^3", VarOrder(["t"]))
     assert dh_target(1, cube) == parse_poly("x0 - y0^9", o1)
+    # a rational coefficient of the base map is read as a number
+    half = parse_poly("t^2 - 1/2", VarOrder(["t"]))
+    assert dh_target(1, half) == parse_poly("x0 - ((y0^2 - 1/2)^2 - 1/2)", o1)
 
 
 def test_nested_prenex_negated_pointwise_consistent():

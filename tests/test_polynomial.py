@@ -6,7 +6,7 @@ import pytest
 
 from cadec.polynomial import (
     ExactDivisionError, OrderingMismatchError, ParseError, Polynomial, VarOrder,
-    ZeroPolynomialError, _coprime_image, _exquo, _prem,
+    ZeroPolynomialError, _coprime_image, _dense, _exquo, _prem, _subresultant_prs,
     content_primitive, discriminant, exact_div, from_coeffs, integer_image,
     integer_normalized, is_primitive, parse_poly, poly_gcd, poly_to_str, primitive, resultant,
     squarefree_basis, squarefree_part, ugcd,
@@ -21,14 +21,17 @@ def P(text, order=O2):
     return parse_poly(text, order)
 
 
-def random_poly(order, rng, max_deg=3, terms=4, coeff=9):
+def random_poly(order, rng, max_deg=3, terms=4, coeff=9, den=1):
+    """A sum of random terms; with den > 1 each coefficient is c/d, d drawn
+    from 1..den."""
     n = len(order)
     p = Polynomial.zero(order)
     for _ in range(terms):
         expt = tuple(rng.randint(0, max_deg) for _ in range(n))
         c = rng.randint(-coeff, coeff)
         if c:
-            p = p + Polynomial.monomial(order, expt, Fraction(c))
+            c = Fraction(c, rng.randint(1, den)) if den > 1 else Fraction(c)
+            p = p + Polynomial.monomial(order, expt, c)
     return p
 
 
@@ -115,6 +118,16 @@ def test_exquo_polynomial_lists():
     # a remainder
     with pytest.raises(ExactDivisionError):
         _exquo(P("x^2 + 1").coeffs_in("x"), P("x - y").coeffs_in("x"))
+    # the same on lists that mix ints and Polynomials (_dense), and an int
+    # entry divided by a constant Polynomial
+    quotient = _exquo(_dense(s * q, "y"), _dense(q, "y"))
+    assert from_coeffs(quotient, "y", O3) == s
+    quotient = _exquo((4, P("2*y"), 0), (Polynomial.constant(O2, 2),))
+    assert from_coeffs(quotient, "x", O2) == P("y*x + 2")
+    with pytest.raises(ExactDivisionError):
+        _exquo(_dense(P("x^2 + 1"), "x"), _dense(P("x - y"), "x"))
+    with pytest.raises(ExactDivisionError):
+        _exquo((1, P("y")), (P("y"),))
 
 
 def test_exact_div_errors():
@@ -376,6 +389,8 @@ def _assert_pseudo_rem(p, q, v):
     """R = prem(p, q), taken by _prem on the coefficient lists in v, has
     deg_v R < deg_v q, and q divides lc_v(q)^(dp - dq + 1) * p - R exactly."""
     r = from_coeffs(_prem(p.coeffs_in(v), q.coeffs_in(v)), v, p.order)
+    # the same remainder on lists that mix ints and Polynomials
+    assert from_coeffs(_prem(_dense(p, v), _dense(q, v)), v, p.order) == r
     assert r.is_zero() or r.degree_in(v) < q.degree_in(v)
     scale = q.leading_coeff_in(v) ** (p.degree_in(v) - q.degree_in(v) + 1)
     exact_div(scale * p - r, q)
@@ -510,6 +525,100 @@ def test_from_coeffs_inverts_coeffs_in():
     for v in O3.names:
         assert from_coeffs(p.coeffs_in(v), v, O3) == p
     assert from_coeffs([], "x", O3).is_zero()
+
+
+def _assert_no_constant_polynomial(p, q, v):
+    a, b = _dense(p, v), _dense(q, v)
+    if len(a) < len(b):
+        a, b = b, a
+    prev, last, h, odd = _subresultant_prs(a, b)
+    for member in (prev, last):
+        assert all(type(c) is int or not c.is_constant() for c in member), (p, q)
+
+
+def test_dense_split_keeps_integers_as_ints():
+    # _dense(p, v) rebuilds p, gives every integral constant coefficient as
+    # an int and every other one as a Polynomial free of v
+    rng = random.Random(71)
+    for trial in range(120):
+        p = random_poly(O3, rng, max_deg=3, terms=5, den=1 if trial % 3 else 4)
+        for v in O3.names:
+            split = _dense(p, v)
+            assert from_coeffs(split, v, O3) == p
+            assert len(split) == p.degree_in(v) + 1
+            for c in split:
+                if type(c) is not int:
+                    assert c and c.degree_in(v) == 0
+                    assert not (c.is_constant() and type(c.constant_value()) is int)
+    assert _dense(P("x^2*y + 3*x - 1/2"), "x") == [P("-1/2"), 3, P("y")]
+    assert _dense(P("x^3 - 2"), "x") == [-2, 0, 0, 1]
+    assert _dense(Polynomial.zero(O2), "x") == [0]
+    # nor do the members the subresultant PRS returns on such lists hold a
+    # constant Polynomial, where sums of Polynomial entries cancel to an
+    # integer: entries of degree 1 in y with coefficients in -2..2 cancel
+    # often enough, and the first pair is one where they do
+    _assert_no_constant_polynomial(P("-x^2 - x"), P("2*x^2*y + x^2 + 2*x*y - 1"), "x")
+    for _ in range(400):
+        p, q = (Polynomial(O2, {(rng.randint(0, 1), i): rng.randint(-2, 2)
+                                for i in range(d + 1) for _ in range(2)}) for d in (3, 2))
+        if p.degree_in("x") >= 1 and q.degree_in("x") >= 1:
+            _assert_no_constant_polynomial(p, q, "x")
+
+
+def test_subresultant_prs_mixed_lists_match_polynomial_lists():
+    # the PRS on _dense lists (ints and Polynomials) against the PRS on
+    # coeffs_in lists (Polynomials only): the same members, scale and sign
+    def poly(c):
+        return c if isinstance(c, Polynomial) else Polynomial.constant(O3, c)
+
+    rng = random.Random(73)
+    checked = 0
+    while checked < 80:
+        p = random_poly(O3, rng, max_deg=3, terms=5)
+        q = random_poly(O3, rng, max_deg=3, terms=4)
+        v = O3.names[checked % 3]
+        if p.degree_in(v) < q.degree_in(v):
+            p, q = q, p
+        if q.degree_in(v) < 1:
+            continue
+        mixed = _subresultant_prs(_dense(p, v), _dense(q, v))
+        plain = _subresultant_prs(p.coeffs_in(v), q.coeffs_in(v))
+        for got, want in zip(mixed[:2], plain[:2]):
+            assert from_coeffs(got, v, O3) == from_coeffs(want, v, O3)
+        assert poly(mixed[2]) == poly(plain[2]) and mixed[3] == plain[3]
+        checked += 1
+
+
+@pytest.mark.parametrize("den", [1, 6], ids=["int", "fraction"])
+def test_projection_kernels_match_oracles(den):
+    # resultant, discriminant and poly_gcd on random 3-variable inputs, with
+    # int and with Fraction coefficients: the resultants against the
+    # Sylvester determinants, and the gcd of a pair with a planted factor
+    # divides both inputs exactly and is divided by the factor
+    rng = random.Random(79 + den)
+    for k in range(150):
+        p = random_poly(O3, rng, max_deg=2, terms=4, den=den)
+        q = random_poly(O3, rng, max_deg=2, terms=4, den=den)
+        h = random_poly(O3, rng, max_deg=2, terms=2, den=den)
+        v = O3.names[k % 3]
+        if p.degree_in(v) >= 1 and q.degree_in(v) >= 1:
+            assert resultant(p, q, v) == sylvester_resultant(p, q, v)
+        if p.degree_in(v) >= 2:
+            assert discriminant(p, v) * p.leading_coeff_in(v) == sylvester_discriminant(p, v)
+        if p.is_zero() or q.is_zero() or h.is_zero():
+            continue
+        g = poly_gcd(p * h, q * h)
+        exact_div(p * h, g), exact_div(q * h, g)
+        if not h.is_constant():
+            exact_div(g, h)
+    if den > 1:
+        # rational inputs whose remainder sequences, unscaled, meet an
+        # integer entry over an integer divisor that does not divide it in
+        # the integers
+        assert poly_gcd(P("(x - 2)*(x^2 + x + 3/2)"),
+                        P("(x - 2)*(2*x^2 + x - 1)")) == P("x - 2")
+        p, q = P("2*x^3 - 2/3"), P("3*x^3 + x^2 + 1")
+        assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
 
 
 def test_resultant_examples():
