@@ -3,6 +3,12 @@
 Grammar: atoms `<poly> (=|!=|<|<=|>|>=) <poly>`; connectives `and`, `or`,
 `not`, `implies` (eliminated at parse), parentheses; quantifier prefix
 `exists v.` / `forall v.` only.  Atoms are normalized to `p ~ 0` form.
+
+A node's evaluate(sign_of) takes the sign of each atom's polynomial from
+sign_of.  A sign of None is unknown, and evaluation follows Kleene's
+three-valued logic: `and` is False at its first False child, `or` True at
+its first True child, and a value that depends on an unknown is None.
+With every sign known the value is a bool, with the usual short-circuit.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ class Atom:
         self.rel = rel
 
     def evaluate(self, sign_of):
-        return _REL_TEST[self.rel](sign_of(self.poly))
+        sign = sign_of(self.poly)
+        return None if sign is None else _REL_TEST[self.rel](sign)
 
     def negated(self):
         return Atom(self.poly, _REL_NEG[self.rel])
@@ -74,7 +81,14 @@ class And:
         self.children = tuple(children)
 
     def evaluate(self, sign_of):
-        return all(c.evaluate(sign_of) for c in self.children)
+        value = True
+        for c in self.children:
+            v = c.evaluate(sign_of)
+            if v is False:
+                return False
+            if v is None:
+                value = None
+        return value
 
     def negated(self):
         return Or([c.negated() for c in self.children])
@@ -102,7 +116,14 @@ class Or:
         self.children = tuple(children)
 
     def evaluate(self, sign_of):
-        return any(c.evaluate(sign_of) for c in self.children)
+        value = False
+        for c in self.children:
+            v = c.evaluate(sign_of)
+            if v is True:
+                return True
+            if v is None:
+                value = None
+        return value
 
     def negated(self):
         return And([c.negated() for c in self.children])
@@ -130,7 +151,8 @@ class Not:
         self.child = child
 
     def evaluate(self, sign_of):
-        return not self.child.evaluate(sign_of)
+        v = self.child.evaluate(sign_of)
+        return None if v is None else not v
 
     def negated(self):
         return self.child
@@ -355,10 +377,17 @@ def decide(f, ec_policy="auto", ec_mode="groebner"):
 
     The variable ordering must list the quantified variables in
     quantification order (outermost = lowest, innermost = highest).  The
-    quantifier fold stops at the first child that settles a stack (a true
-    one under exists, a false one under forall), so only the top cells it
-    reaches get a truth value; the others keep truth None, and a cell's
-    sample point is built only when a sign there needs it.
+    CAD is partial (Collins and Hong 1991): the quantifier fold first
+    evaluates the matrix at a cell in three-valued logic, from the atoms
+    whose polynomials live at or below the cell's level (leaf_truth), and
+    descends only when that leaves it open; a stack is lifted only when the
+    fold descends into its base cell.  Stacks are never empty, so a value
+    settled at a cell is the fold's value over its subtree.  Over the
+    children the fold stops at the first one that settles the stack (a
+    true one under exists, a false one under forall).  Cells the fold does
+    not reach keep truth None, and a cell's sample point is built only when
+    a sign there or its stack needs it.  A nullification the fold never
+    reaches is not seen, so decide can answer where build_cad refuses.
     """
     from .projection import plan_projection
     from .lifting import build_cad, leaf_truth
@@ -376,15 +405,16 @@ def decide(f, ec_policy="auto", ec_mode="groebner"):
 
     matrix_formula = Formula(f.matrix, f.order)
     plan = plan_projection(matrix_formula, f.order, ec_policy, ec_mode=ec_mode)
-    tree = build_cad(plan)
+    tree = build_cad(plan, eager=False)
     forms = {}
     return _fold_truth(tree.root, f.prefix,
-                       lambda leaf: leaf_truth(leaf, f.matrix, tree.order, forms))
+                       lambda cell: leaf_truth(cell, f.matrix, tree.order, forms))
 
 
 def _fold_truth(cell, prefix, truth_of):
-    if cell.level == len(prefix):
-        return truth_of(cell)
+    truth = truth_of(cell)
+    if truth is not None:
+        return truth
     quant = prefix[cell.level][0]
     results = (_fold_truth(child, prefix, truth_of) for child in cell.children)
     return any(results) if quant == "exists" else all(results)

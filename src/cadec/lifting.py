@@ -12,12 +12,17 @@ Its sample point is built on first read, as its parent's sample extended
 by that coordinate, and kept; so it shares the tree's memo, and cells whose
 sample nothing reads never build one.
 
-A stack is a Stack: its length is known from its roots when it is lifted,
-and its cells are made when one of them is first read.  build_cad reads
-every stack below the top level to lift the next one, so only top stacks
-can stay unmade; cell_count reads the top level off their lengths.  A
-decision reads few top stacks: decide on S2 of the depth-1 family makes
-17,764 of the 83,150 cells of its tree.
+A cell's stack is lifted the first time its children are read (_Lifter,
+one per tree: the level's lifting polynomials, EC flag and variable, and
+the count against cell_cap).  build_cad forces every stack, level by
+level; decide forces none, so its quantifier fold lifts only the stacks it
+descends into, and it stops at a cell whose signs settle the matrix
+(partial CAD, Collins and Hong 1991).  A lifted stack is a Stack: its
+length is known from its roots, and its cells are made when one of them is
+first read, so cell_count reads the top level off stack lengths.  decide
+on S2 of the depth-1 family lifts 135 of the 10,997 stacks of its tree;
+cell_count, leaves(), to_json, truth_assign and locate lift what they
+read, so the tree still counts as the full CAD.
 """
 
 from __future__ import annotations
@@ -51,15 +56,16 @@ class Cell:
 
     The root is given its sample point.  Any other cell is given its own
     coordinate, and its sample is parent.sample.extended(coord), built on
-    first read.  Most cells of a tree record no sign and the top cells have
-    no stack, so a cell starts with no signs dict and an empty tuple of
-    children; build_cad assigns the stack (a Stack, or a one-cell list for
-    a cylinder)."""
+    first read.  Most cells of a tree record no sign, so a cell starts with
+    no signs dict.  A top cell has the empty tuple of children; any other
+    cell is given its tree's _Lifter, which lifts the stack (a Stack, or a
+    one-cell list for a cylinder) when children is first read."""
 
     __slots__ = ("index", "_sample", "coord", "kind", "cylinder", "truth", "_signs",
-                 "children", "parent")
+                 "_stack", "parent")
 
-    def __init__(self, index, sample, kind, cylinder=False, parent=None, coord=None):
+    def __init__(self, index, sample, kind, cylinder=False, parent=None, coord=None,
+                 lifter=None):
         self.index = tuple(index)
         self._sample = sample
         self.coord = coord
@@ -67,7 +73,7 @@ class Cell:
         self.cylinder = cylinder  # sector spanning the whole line (EC refinement)
         self.truth = None
         self._signs = None
-        self.children = ()
+        self._stack = () if lifter is None else lifter
         self.parent = parent
 
     @property
@@ -78,6 +84,14 @@ class Cell:
         if signs is None:
             signs = self._signs = {}
         return signs
+
+    @property
+    def children(self):
+        """The stack over this cell, lifted on first read."""
+        stack = self._stack
+        if type(stack) is _Lifter:
+            stack = self._stack = stack.lift(self)
+        return stack
 
     @property
     def sample(self):
@@ -158,16 +172,18 @@ def _upper(alpha):
 
 
 def _sector_samples(roots):
-    """Rational sector samples strictly interleaving the given sorted roots.
+    """Rational sector samples strictly interleaving the given sorted roots:
+    the two outer ones as ints, each one between two roots as an integer
+    pair (numerator, denominator > 1).
 
     A rational root counts as its exact value, so two rationals take their
     midpoint.  Irrational roots are refined until the gap clears: strictly
     when one neighbour is a rational q (a shared endpoint would make the
     sample q, the root itself); two irrational intervals may share an
     endpoint, which is a root of neither.  Endpoints are compared as
-    integer pairs (the roots' integer intervals); the sample between two
-    roots is the one Fraction made here, and the outer samples are ints.
-    The values are those of the same rules in Fraction arithmetic."""
+    integer pairs (the roots' integer intervals), and _build_stack makes
+    the Fraction of a pair only when it makes the cell.  The values are
+    those of the same rules in Fraction arithmetic."""
     if not roots:
         return [0]
     n, d = _lower(roots[0])
@@ -181,22 +197,25 @@ def _sector_samples(roots):
             for r in (a, b):
                 if not r.is_rational:
                     r.refine()
-        samples.append(Fraction(x + y, 2 * hd * ld))
+        samples.append((x + y, 2 * hd * ld))
     n, d = _upper(roots[-1])
     samples.append(-(-n // d) + 1)
     return samples
 
 
-def _build_stack(base, roots, contributors, polys_in_order, sectors):
+def _build_stack(base, roots, contributors, polys_in_order, sectors, lifter):
     """The 2r+1 alternating cells over `base` for the given section roots
-    and the r+1 sector samples between them."""
+    and the r+1 sector samples between them (_sector_samples: an int, or
+    an integer pair made a Fraction here).  lifter lifts the cells' own
+    stacks, None at the top level."""
     cells = []
-    for i, rational in enumerate(sectors):
+    for i, sample in enumerate(sectors):
         cells.append(Cell(base.index + (2 * i + 1,), None, "sector", parent=base,
-                          coord=rational))
+                          coord=sample if type(sample) is int else Fraction(*sample),
+                          lifter=lifter))
         if i < len(roots):
             section = Cell(base.index + (2 * i + 2,), None, "section", parent=base,
-                           coord=roots[i])
+                           coord=roots[i], lifter=lifter)
             for gi in contributors[i]:
                 section.signs[polys_in_order[gi]] = 0
             cells.append(section)
@@ -213,10 +232,10 @@ class Stack:
 
     __slots__ = ("_cells", "_pending", "_len")
 
-    def __init__(self, base, roots, contributors, polys_in_order):
+    def __init__(self, base, roots, contributors, polys_in_order, lifter):
         self._cells = None
         self._pending = (base, roots, contributors, polys_in_order,
-                         _sector_samples(roots))
+                         _sector_samples(roots), lifter)
         self._len = 2 * len(roots) + 1
 
     def _made(self):
@@ -250,9 +269,11 @@ def _stack_roots(polys, sample, v, where):
     return merge_roots(groups)
 
 
-def lift_stack(cell, level_polys, ec_at_base_level, v):
+def lift_stack(cell, level_polys, ec_at_base_level, v, lifter=None):
     """Stack over `cell` in variable v for level_polys, the level's lifting
     polynomials in a fixed order (build_cad sorts them by str once per level).
+    The stack's cells are given lifter for their own stacks (None makes
+    them top cells).
 
     If the base level carries an EC and the base cell is a sector, the stack
     is the single cylinder cell (real root isolation is skipped there, and
@@ -261,45 +282,64 @@ def lift_stack(cell, level_polys, ec_at_base_level, v):
     """
     if ec_at_base_level and cell.kind == "sector":
         return [Cell(cell.index + (1,), None, "sector", cylinder=True, parent=cell,
-                     coord=Fraction(0))]
+                     coord=Fraction(0), lifter=lifter)]
     roots, contributors = _stack_roots(level_polys, cell.sample, v,
                                        "over cell %r" % (cell.index,))
-    return Stack(cell, roots, contributors, level_polys)
+    return Stack(cell, roots, contributors, level_polys, lifter)
 
 
-def build_cad(plan, cell_cap=1_000_000):
-    """Lift a projection plan into a full CAD tree of R^n.
+class _Lifter:
+    """Lifts the stacks of one tree on demand: the stack over a cell of
+    level k-1 is lift_stack of level k's sorted lifting polynomials, its
+    EC-below flag and its variable, and its cells count against cell_cap
+    (the root counts as one)."""
+
+    __slots__ = ("levels", "cell_cap", "total")
+
+    def __init__(self, plan, provenance, cell_cap):
+        self.levels = [(provenance[k], k > 1 and plan.level(k - 1).ec is not None,
+                        plan.level(k).var) for k in range(1, len(plan.order) + 1)]
+        self.cell_cap = cell_cap
+        self.total = 1
+
+    def lift(self, cell):
+        k = cell.level + 1
+        polys, ec_below, v = self.levels[k - 1]
+        stack = lift_stack(cell, polys, ec_below, v,
+                           self if k < len(self.levels) else None)
+        self.total += len(stack)
+        if self.total > self.cell_cap:
+            raise CapExceededError(
+                "cell count exceeded cap %d at level %d" % (self.cell_cap, k))
+        return stack
+
+
+def build_cad(plan, cell_cap=1_000_000, eager=True):
+    """Lift a projection plan into a CAD tree of R^n.
 
     Signs of lifting polynomials are recorded on section cells where they
     vanish; other signs are computed on demand (see cell_sign) and memoized.
     Every sample point of the tree shares the root's memo, so roots_above
     isolates each lifting polynomial once per distinct value of the
     coordinates it reads, and cells over equal values share their roots.
-    Every stack is lifted, and counted against cell_cap, but the top
-    stacks' cells are left to be made when read.
+    A stack is lifted, and counted against cell_cap, when its base cell's
+    children are first read.  With eager (the default) every stack is read
+    here, level by level in index order, so nullification and the cap
+    raise here; the top stacks' cells are left to be made when read.
+    decide passes eager=False and lifts only what its fold reads.
     """
     order = plan.order
     n = len(order)
-    root = Cell((), SamplePoint(order, ()), None)
-    frontier = [root]
-    total = 1
-    provenance = {}
-    for k in range(1, n + 1):
-        level = plan.level(k)
-        polys = provenance[k] = tuple(sorted(level.lifting_polys, key=str))
-        v = level.var
-        ec_below = k > 1 and plan.level(k - 1).ec is not None
-        next_frontier = []
-        for cell in frontier:
-            stack = lift_stack(cell, polys, ec_below, v)
-            cell.children = stack
-            total += len(stack)
-            if total > cell_cap:
-                raise CapExceededError(
-                    "cell count exceeded cap %d at level %d" % (cell_cap, k))
+    provenance = {k: tuple(sorted(plan.level(k).lifting_polys, key=str))
+                  for k in range(1, n + 1)}
+    root = Cell((), SamplePoint(order, ()), None,
+                lifter=_Lifter(plan, provenance, cell_cap))
+    if eager:
+        frontier = [root]
+        for k in range(1, n + 1):
+            stacks = [cell.children for cell in frontier]
             if k < n:
-                next_frontier.extend(stack)
-        frontier = next_frontier
+                frontier = [c for stack in stacks for c in stack]
     return CADTree(order, plan, root, provenance)
 
 
@@ -326,11 +366,7 @@ def cell_sign(cell, poly, order, forms):
     if poly.is_constant():
         c = poly.constant_value()
         return 0 if c == 0 else (1 if c > 0 else -1)
-    form = forms.get(poly)
-    if form is None:
-        form = forms[poly] = (order.level(poly.main_variable()), integer_normalized(poly),
-                              1 if poly.leading_term()[1] > 0 else -1)
-    level, canonical, lead = form
+    level, canonical, lead = _form(poly, order, forms)
     target = cell
     while target.level > level:
         target = target.parent
@@ -343,11 +379,36 @@ def cell_sign(cell, poly, order, forms):
     return sign
 
 
-def leaf_truth(leaf, matrix, order, forms):
-    """Evaluate the quantifier-free matrix at a top cell by cell_sign (forms
-    as there), store it as the cell's truth and return it."""
-    leaf.truth = matrix.evaluate(lambda p: cell_sign(leaf, p, order, forms))
-    return leaf.truth
+def _form(poly, order, forms):
+    """(level, integer_normalized form, sign of the leading coefficient) of
+    a non-constant poly, kept in forms."""
+    form = forms.get(poly)
+    if form is None:
+        form = forms[poly] = (order.level(poly.main_variable()), integer_normalized(poly),
+                              1 if poly.leading_term()[1] > 0 else -1)
+    return form
+
+
+def leaf_truth(cell, matrix, order, forms):
+    """Evaluate the quantifier-free matrix at a cell by cell_sign (forms as
+    there), store it as the cell's truth and return it.
+
+    At a top cell the value is a bool.  Below the top level, an atom whose
+    polynomial's level is above the cell's has no sign there (None, and no
+    cell_sign call), and the matrix is evaluated in three-valued logic.
+    Every other atom is read at the ancestor each top cell above would read
+    it from, so True or False is the matrix's value on every top cell over
+    this one; None leaves it open."""
+    level = cell.level
+    top = level == len(order)
+
+    def sign_of(p):
+        if top or p.is_constant() or _form(p, order, forms)[0] <= level:
+            return cell_sign(cell, p, order, forms)
+        return None
+
+    cell.truth = matrix.evaluate(sign_of)
+    return cell.truth
 
 
 def truth_assign(tree, f):
@@ -367,6 +428,8 @@ def cell_count(tree):
     sections/sectors classify the top-level cells by their level-n kind.
     A top stack of 2r+1 cells has r sections (a cylinder's has none), so
     the count reads the top level off stack lengths and makes no top cell.
+    It lifts every stack not yet lifted, so a decided tree counts as the
+    full CAD.
     """
     n = len(tree.order)
     per_level = [0] * n

@@ -979,6 +979,12 @@ def poly_gcd(p, q):
 # content / primitive part
 
 
+# The constant 1 by variable names, shared by equal orders: a content of 1
+# is returned often, and an order built per call (realalg's resultant
+# chains) would keep a copy of its own alive with its memoized results.
+_ONES = {}
+
+
 def content_primitive(p, v):
     """Content (gcd of coefficients w.r.t. v, normalized) and primitive part.
 
@@ -986,7 +992,8 @@ def content_primitive(p, v):
     last asked for, so the pairwise gcds and resultants of projection take
     each polynomial's content once; the primitive part is p itself when the
     content is 1 and is divided out afresh otherwise.  The content is read
-    off p's _dense split, so an integer coefficient proves it 1."""
+    off p's _dense split, so an integer coefficient proves it 1; a content
+    of 1 is the constant 1 kept for p's variable names (_ONES)."""
     if p.is_zero():
         raise ZeroPolynomialError("content of zero polynomial")
     kept = p._content
@@ -996,7 +1003,11 @@ def content_primitive(p, v):
         cont = _list_content(_dense(p, v))
         p._content = (v, cont)
     if cont is None:
-        return Polynomial.constant(p.order, 1), p
+        names = p.order.names
+        one = _ONES.get(names)
+        if one is None:
+            one = _ONES[names] = Polynomial.constant(p.order, 1)
+        return one, p
     return cont, exact_div(p, cont)
 
 

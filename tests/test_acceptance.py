@@ -224,10 +224,13 @@ def test_criterion_7_ec_savings_monotonicity():
 def test_criterion_8_construction_semantics():
     start = time.perf_counter()
     # the depth-1 instance is equivalent to x0 = y0^4; the biconditional is
-    # decided as two prenex sentences (each direction of the implication)
+    # decided as two prenex sentences (each direction of the implication),
+    # and their negations, whose folds swap exists and forall, are false
     s1, s2 = dh_equivalence_sentences(1)
     ok = decide(s1, ec_policy="auto", ec_mode="groebner")
     ok = ok and decide(s2, ec_policy="auto", ec_mode="groebner")
+    ok = ok and decide(s1.negated(), ec_policy="auto", ec_mode="groebner") is False
+    ok = ok and decide(s2.negated(), ec_policy="auto", ec_mode="groebner") is False
     # the three linking-block forms agree at 1000 random rational points
     rng = random.Random(808)
     ordr = dh_order(1)
@@ -243,7 +246,8 @@ def test_criterion_8_construction_semantics():
     # depth-2 decision (11 variables) is infeasible at desk scale: excluded
     elapsed = time.perf_counter() - start
     _report(8, "depth-1 instance proven equivalent to x0 = y0^4 (both prenex "
-            "directions true); linking-block forms agree at 1000 points; "
+            "directions true, their negations false); linking-block forms "
+            "agree at 1000 points; "
             "depth 2 excluded as infeasible", ok and elapsed < 600, elapsed)
 
 

@@ -58,6 +58,16 @@ def test_well_orientedness_exit_code(capsys):
     assert code == 3
 
 
+def test_decide_answers_where_the_full_cad_is_refused(capsys):
+    # decide settles the matrix on every level-1 cell and lifts no stack
+    # over x = -1, where y*x + y vanishes; counting the CAD lifts it
+    text = "forall x. forall y. x^2 + 1 > 0 or y*x + y = 0"
+    code, out, _ = run(["cad", "decide", "--formula", text, "--order", "x,y"], capsys)
+    assert code == 0 and out.strip() == "true"
+    code, _, err = run(["cad", "count", "--formula", text, "--order", "x,y"], capsys)
+    assert code == 3 and "vanishes identically" in err
+
+
 def test_nullification_after_vanishing_chain_exit_code(capsys):
     # over y = +-sqrt 2 the chain of (x + y)*(z + 1) vanishes under both
     # elimination orders; the polynomial then vanishes identically over the

@@ -5,7 +5,10 @@ from itertools import product
 import pytest
 
 from cadec import lifting
+from cadec.bench import MODE_POLICY
+from cadec.lifting import WellOrientednessError
 from cadec.polynomial import ParseError, VarOrder, integer_normalized, parse_poly
+from cadec.projection import plan_projection
 from cadec.formula import (
     And, Atom, Formula, Not, Or, decide, evaluate_at_rationals, identify_ecs,
     parse_formula,
@@ -93,13 +96,14 @@ def test_decide_rejects_open_formula():
         decide(f)
 
 
-def _decided_tree(monkeypatch, f):
-    """decide(f) and the CAD tree it built."""
+def _decided_tree(monkeypatch, f, **options):
+    """decide(f, **options) and the CAD tree it built."""
     trees = []
     build = lifting.build_cad
     with monkeypatch.context() as m:
-        m.setattr(lifting, "build_cad", lambda plan: trees.append(build(plan)) or trees[-1])
-        truth = decide(f)
+        m.setattr(lifting, "build_cad",
+                  lambda plan, **kw: trees.append(build(plan, **kw)) or trees[-1])
+        truth = decide(f, **options)
     return truth, trees[0]
 
 
@@ -153,3 +157,70 @@ def test_decide_leaves_unread_leaves_unassigned(monkeypatch):
     truth, tree = _decided_tree(monkeypatch, f)
     truths = [leaf.truth for leaf in tree.leaves()]
     assert truth and None in truths and True in truths
+
+
+def test_three_valued_evaluate_agrees_with_every_completion():
+    # a None sign is unknown: a settled value must be the value under every
+    # choice of the unknown signs, and with every sign known the value is
+    # the plain bool
+    order = VarOrder(["x"])
+    polys = [parse_poly(t, order) for t in ("x", "x - 1", "x + 2")]
+    rng = random.Random(5)
+
+    def random_node(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return Atom(rng.choice(polys), rng.choice(("=", "!=", "<", "<=", ">", ">=")))
+        kind = rng.choice((And, Or, Not))
+        if kind is Not:
+            return Not(random_node(depth - 1))
+        return kind([random_node(depth - 1) for _ in range(rng.randint(2, 3))])
+
+    for _ in range(300):
+        node = random_node(3)
+        partial = {p: rng.choice((-1, 0, 1, None)) for p in polys}
+        value = node.evaluate(partial.get)
+        unknown = [p for p in polys if partial[p] is None]
+        completions = set()
+        for signs in product((-1, 0, 1), repeat=len(unknown)):
+            full = {**partial, **dict(zip(unknown, signs))}
+            completed = node.evaluate(full.get)
+            assert type(completed) is bool
+            completions.add(completed)
+        if value is not None:
+            assert completions == {value}, str(node)
+
+
+def test_decide_answers_above_an_unreached_nullification():
+    # x^2 + 1 > 0 holds on every level-1 cell, so the fold settles there and
+    # never lifts a stack over x, not even over x = -1, where y*x + y
+    # vanishes identically; a full CAD of the same formula is refused
+    order = VarOrder(["x", "y"])
+    f = parse_formula("forall x. forall y. x^2 + 1 > 0 or y*x + y = 0", order)
+    assert decide(f) is True
+    with pytest.raises(WellOrientednessError):
+        lifting.build_cad(plan_projection(f, order, "auto"))
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_POLICY))
+def test_decided_tree_counts_as_the_full_cad(monkeypatch, mode):
+    # decide lifts only the stacks its fold reaches; cell_count lifts the
+    # rest, so the decided tree counts the cells of the eager build
+    policy, ec_mode = MODE_POLICY[mode]
+    lifts = []
+    lift = lifting.lift_stack
+    monkeypatch.setattr(lifting, "lift_stack", lambda *a: lifts.append(1) or lift(*a))
+    partial = 0
+    for _, qf, _ in load_corpus():
+        names = qf.order.names
+        eager = lifting.cell_count(lifting.build_cad(
+            plan_projection(qf, qf.order, policy, ec_mode=ec_mode)))
+        stacks = 1 + sum(eager["per_level"][:-1])
+        for quants in product(("exists", "forall"), repeat=len(names)):
+            f = Formula(qf.matrix, qf.order, zip(quants, names))
+            lifts.clear()
+            _, tree = _decided_tree(monkeypatch, f, ec_policy=policy, ec_mode=ec_mode)
+            lifted = len(lifts)
+            assert lifting.cell_count(tree) == eager, (mode, str(f))
+            assert lifted <= len(lifts) == stacks
+            partial += lifted < stacks
+    assert partial > 20
