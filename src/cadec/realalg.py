@@ -45,7 +45,10 @@ interval, equals that of the Fraction specialisation; sign_at at an
 all-rational point is the sign of one such integer sum.  sign_at_map and
 roots_above split a point the same way (_split_point): the rational
 coordinates as (n, d) pairs by position, and the algebraic ones p still
-reads once the rational ones are put in, in the variable order.  Every
+reads once the rational ones are put in, in the variable order.  They are
+put in on integers too (_put_in), term by term as integer_image scales
+them: a positive multiple of the Fraction substitution, which is all its
+readers need, since they take only signs and roots.  Every
 univariate Polynomial (the input of isolate_real_roots, a chain's last
 polynomial, the gcd whose roots the chain tests) is read as integers by the
 same kernel with an empty point, a positive multiple of its coefficients.
@@ -61,21 +64,34 @@ picks a sector sample between them.  Only how far intervals are refined
 changes, and with it which rational a sector sample is; no root, sign,
 cell count or truth value does.
 
-Signs and roots over an algebraic sample point go through defining
-polynomials built by one chain of resultants, _candidate_defining: the
-candidate polynomial in v whose roots include those of p above the point.
-It eliminates the algebraic coordinates once, in the variable order; where
-a step's resultant vanishes, it divides out the shared factor and repeats
-the step.  The defining polynomial of a value q (_value_defining) is the
-candidate polynomial of t - q in a fresh variable t.  Each step
-resultant(d, P, var) is memoised, keyed on exactly those arguments: d, the
-coordinate's defining polynomial in var (after any factor the chain divided
-out of it), and the chain polynomial P.  The entry is exact because a resultant depends on its arguments alone, not
-on which root of d the coordinate is or on its interval, so roots that
-share a defining polynomial share entries.  The memo is a dict on
-SamplePoint that extended() passes on: it lives as long as one tree of
-sample points (a CAD build and its truth assignment), and a SamplePoint
-made anew starts an empty one.
+Roots over an algebraic sample point go through one chain of resultants,
+_candidate_defining: the candidate polynomial C in v whose roots include
+those of p above the point.  It eliminates the algebraic coordinates once,
+in the variable order; where a step's resultant vanishes, it divides out
+the shared factor and repeats the step.  Each step resultant(d, P, var) is
+memoised, keyed on exactly those arguments: d, the coordinate's defining
+polynomial in var (after any factor the chain divided out of it), and the
+chain polynomial P.  The entry is exact because a resultant depends on its
+arguments alone, not on which root of d the coordinate is or on its
+interval, so roots that share a defining polynomial share entries.  The
+memo is a dict on SamplePoint that extended() passes on: it lives as long
+as one tree of sample points (a CAD build and its truth assignment), and a
+SamplePoint made anew starts an empty one.
+
+Only one fallback runs a chain over the coordinate it tests.  A root rho
+of C is a root of p above the point (_is_root) when the signs of p at the
+two ends of rho's isolating interval differ: every root of p there is a
+root of C, the interval holds no other root of C, and neither end is one,
+so both signs are non-zero and settle by intervals alone.  One interval
+round over rho's interval first drops most candidates that are not roots.
+Equal signs leave a root of even multiplicity possible (x = 0 on the
+sphere over a point of the circle): only then, if 4 interval rounds at rho
+leave the sign open, does the value's defining polynomial decide
+(_zero_by_chain).  That is the candidate polynomial of
+t - q in a fresh variable t (_value_defining), a chain over every
+coordinate, so its degree is the product of theirs: 324 at the top points
+of x*y - z = 0 and x^2 - y = 0 and x + y + z - 1 = 0, whose CAD has 11
+cells.
 
 The same memo holds the root lists of roots_above(p, s, v), keyed on p, v
 and the coordinates of p's other variables, read from s.coords at the
@@ -86,17 +102,22 @@ Fraction), an irrational one as the AlgebraicNumber object itself, which
 hashes by identity (the key holds a reference, so its id is not reused).
 roots_above reads nothing else of s, so an equal key means an equal answer:
 a lifting polynomial y1 - y0 is isolated once per distinct y0, not once per
-cell above it.  A roots key's second entry is a variable name and a
-resultant key's a polynomial, so the two kinds never collide.  The roots handed back are shared, and whoever refines one
-refines it for all; that only shrinks its interval, so at most a sector
-sample's rational depends on it (see above).
+cell above it.  The zero test of sign_at_map keeps its root lists under the
+same keys (_roots_key).  A roots key's second entry is a variable name and
+a resultant key's a polynomial, so the two kinds never collide.  The roots
+handed back are shared, and whoever refines one refines it for all; that
+only shrinks its interval, so at most a sector sample's rational depends on
+it (see above).
 
 sign_at_map has one refinement loop.  Each round evaluates p's interval
 over the coordinates' boxes (_interval_sums), returns a sign once the
-interval clears 0, and otherwise bisects every coordinate.  Round 4 first
-computes the value's defining polynomial.  If its constant term is 0 the
-value may be 0: from then on each round also refines the polynomial's other
-roots that overlap the interval, and the sign is 0 once none does.
+interval clears 0, and otherwise bisects every coordinate.  If 4 rounds
+leave the sign open, the root-position test decides whether the value is 0
+(_zero_by_roots).  With alpha_w the top coordinate q reads, the value is 0
+iff q vanishes identically in w over the lower coordinates, or alpha_w is,
+by compare, one of q's roots in w there; those roots are the lists above.
+Otherwise the value is not 0, and the rounds run on until the interval
+clears 0.
 
 Interval refinement mutates the cached interval but is monotone (intervals
 only shrink), so concurrent readers are safe; the memo only gains entries
@@ -106,7 +127,7 @@ that any reader would compute alike; everything else is pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import count
 from math import gcd, isqrt, lcm
 
@@ -119,6 +140,7 @@ from .polynomial import (
     _exquo,
     exact_div,
     integer_image,
+    integer_terms,
     poly_gcd,
     primitive,
     resultant,
@@ -639,7 +661,8 @@ class SamplePoint:
 
     memo maps (d, P, var) to resultant(d, P, var) for the resultant chains
     of sign_at and roots_above, and (p, v, coordinates p reads) to the
-    roots roots_above returned; both are exact (module docstring).  A new
+    roots of p in v there, for roots_above and sign_at's zero test; both
+    are exact (module docstring).  A new
     SamplePoint starts an empty memo and extended() passes it on, so every
     point lifted from one root shares it.
     """
@@ -759,6 +782,13 @@ def _memo_resultant(memo, d, P, var):
     return R
 
 
+@cache
+def _t_order(order):
+    """order with the fresh variable t appended.  One object per distinct
+    order, since the resultant memo keeps polynomials in it alive."""
+    return VarOrder(order.names + (_TVAR,))
+
+
 def _value_defining(q, alg_coords, memo):
     """Defining polynomial (coefficient tuple in a fresh variable t) of the
     value q(alpha_1, ..., alpha_k): the candidate polynomial in t of t - q.
@@ -767,7 +797,7 @@ def _value_defining(q, alg_coords, memo):
     rational along the chain: no resultant vanishes, and the chain divides
     nothing out.
     """
-    order2 = VarOrder(q.order.names + (_TVAR,))
+    order2 = _t_order(q.order)
     t = Polynomial.variable(order2, _TVAR)
     return _candidate_defining(t - q.restricted(order2), _TVAR, alg_coords, memo)
 
@@ -785,14 +815,41 @@ def _defining_poly(alpha, var, order):
     return Polynomial(order, terms)
 
 
+def _put_in(p, point):
+    """A positive multiple of p with the variable at each position i of
+    point set to point[i] = (n, d), d > 0, on integers.
+
+    Term by term as integer_image: each term c x^e is scaled by den(p)
+    prod n_i^e_i d_i^(deg_i - e_i), so the result is the Fraction
+    substitution times den(p) prod d_i^deg_i, with the same signs and
+    roots."""
+    _, terms = integer_terms(p)
+    degs = p.degrees()
+    subs = [(i, n, d, degs[i]) for i, (n, d) in point.items()]
+    out = {}
+    for expt, c in terms.items():
+        e = list(expt)
+        for i, n, d, deg in subs:
+            k = expt[i]
+            if k:
+                c *= n ** k
+                e[i] = 0
+            if d != 1 and k != deg:
+                c *= d ** (deg - k)
+        e = tuple(e)
+        out[e] = out.get(e, 0) + c
+    return Polynomial(p.order, {e: c for e, c in out.items() if c}, _clean=True)
+
+
 def _split_point(p, coord_map, vi=None):
     """p's coordinates in coord_map (var -> AlgebraicNumber), at the
     variables p reads other than the one at position vi, as (point, q,
     algebraic).  point holds the rational coordinates as (n, d) pairs by
     position.  When every coordinate is rational, q is None and
-    integer_image(p, point, vi) is p at the point.  Otherwise q is p with the
-    rational coordinates put in, and algebraic lists (var, alpha) for the
-    coordinates q still reads, by position."""
+    integer_image(p, point, vi) is p at the point.  Otherwise q is a
+    positive multiple of p with the rational coordinates put in (_put_in),
+    and algebraic lists (var, alpha) for the coordinates q still reads, by
+    position."""
     names = p.order.names
     point, algebraic = {}, []
     for i, e in enumerate(p.degrees()):
@@ -805,42 +862,82 @@ def _split_point(p, coord_map, vi=None):
                 algebraic.append((i, alpha))
     if not algebraic:
         return point, None, algebraic
-    q = p.evaluate({names[i]: Fraction(n, d) for i, (n, d) in point.items()}) if point else p
+    q = _put_in(p, point) if point else p
     degs = q.degrees()
     return point, q, [(names[i], alpha) for i, alpha in algebraic if degs[i]]
 
 
 def sign_at_map(p, coord_map, memo):
     """Exact sign of p at the point given by coord_map (var -> AlgebraicNumber);
-    memo is the resultant memo of the coordinates' SamplePoint.  At an
-    all-rational point this is the sign of one integer sum (integer_image)."""
+    memo is the memo of the coordinates' SamplePoint.  At an all-rational
+    point this is the sign of one integer sum (integer_image); otherwise
+    interval rounds, with the root-position zero test (_zero_by_roots)."""
+    return _sign_at(p, coord_map, memo, _zero_by_roots)
+
+
+def _sign_at(p, coord_map, memo, is_zero):
+    """sign_at_map with the zero test is_zero(q, algebraic, memo), which
+    says whether q is 0 at the algebraic coordinates.  It runs once 4
+    interval rounds leave the sign open; if the value is not 0, the rounds
+    run on until they clear 0.  is_zero is None for a value known not to
+    be 0."""
     point, q, algebraic = _split_point(p, coord_map)
     if q is None:
         value = integer_image(p, point)[0]
         return (value > 0) - (value < 0)
     if q.is_constant():
         c = q.constant_value()
-        return 0 if c == 0 else (1 if c > 0 else -1)
-    others = None
+        return (c > 0) - (c < 0)
     for rounds in count():
-        if rounds == 4:
-            defining = _value_defining(q, algebraic, memo)
-            if defining[0] == 0:
-                others = [r for r in isolate_coeffs(defining)
-                          if not (r.is_rational and r.coeffs[0] == 0)]
-        lo, hi, scale = _interval_sums(
+        if rounds == 4 and is_zero is not None and is_zero(q, algebraic, memo):
+            return 0
+        lo, hi, _ = _interval_sums(
             q, {v: (a.lo_num, a.hi_num, a.den) for v, a in algebraic})
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        if others is not None:
-            overlapping = [r for r in others
-                           if r.hi_num * scale > lo * r.den and r.lo_num * scale < hi * r.den]
-            if not overlapping:
-                return 0
-            for r in overlapping:
-                r.refine()
+        for _, a in algebraic:
+            a.refine()
+
+
+def _zero_by_roots(q, algebraic, memo):
+    """Is q 0 at the algebraic coordinates (var, alpha), in the variable
+    order?  With w the top one, it is iff q vanishes identically in w over
+    the lower coordinates, or alpha_w is one of q's roots in w there.  The
+    roots are those of roots_above, under its memo key, so no chain reads
+    alpha_w."""
+    w, alpha = algebraic[-1]
+    lower = algebraic[:-1]
+    key = _roots_key(q, w, [a for _, a in lower])
+    roots = memo.get(key)
+    if roots is None:
+        roots = memo[key] = _isolate_above(q, dict(lower), w, memo)
+    return roots is IDENTICALLY_ZERO or any(compare(alpha, r) == 0 for r in roots)
+
+
+def _zero_by_chain(q, algebraic, memo):
+    """Is q 0 at the algebraic coordinates?  By the value's defining
+    polynomial (_value_defining), a chain over every coordinate: if its
+    constant term is not 0, the value is not.  Otherwise refine the
+    coordinates, and the polynomial's other roots that overlap the value's
+    interval, until the interval clears 0 or no other root overlaps it."""
+    defining = _value_defining(q, algebraic, memo)
+    if defining[0] != 0:
+        return False
+    others = [r for r in isolate_coeffs(defining)
+              if not (r.is_rational and r.coeffs[0] == 0)]
+    while True:
+        lo, hi, scale = _interval_sums(
+            q, {v: (a.lo_num, a.hi_num, a.den) for v, a in algebraic})
+        if lo > 0 or hi < 0:
+            return False
+        overlapping = [r for r in others
+                       if r.hi_num * scale > lo * r.den and r.lo_num * scale < hi * r.den]
+        if not overlapping:
+            return True
+        for r in overlapping:
+            r.refine()
         for _, a in algebraic:
             a.refine()
 
@@ -876,12 +973,26 @@ def roots_above(p, s, v):
         values = [s.coords[j] for j in at]
     except IndexError:
         raise RealAlgebraError("sample point does not cover the variables of %s" % p) from None
-    key = (p, v, tuple([a.coeffs if len(a.coeffs) == 2 else a for a in values]))
+    key = _roots_key(p, v, values)
     roots = s.memo.get(key)
     if roots is None:
         cmap = {order.names[i]: a for i, a in zip(read, values)}
         roots = s.memo[key] = _isolate_above(p, cmap, v, s.memo)
     return roots
+
+
+def _roots_key(p, v, values):
+    """The memo key of p's roots in v over the coordinates values, those of
+    p's other variables in the variable order: a rational one by its
+    defining tuple, an irrational one by identity."""
+    return (p, v, tuple([a.coeffs if len(a.coeffs) == 2 else a for a in values]))
+
+
+def _nonzero_at(c, cmap, memo):
+    """Is c, a coefficient from _dense, non-zero at the point cmap?"""
+    if type(c) is int:
+        return c != 0
+    return c.is_constant() or sign_at_map(c, cmap, memo) != 0
 
 
 def _isolate_above(p, cmap, v, memo):
@@ -899,27 +1010,45 @@ def _isolate_above(p, cmap, v, memo):
             return []
         return isolate_coeffs(univ)
 
-    # _dense gives a zero coefficient as the int 0 and never as a Polynomial
-    coeff_signs = [
-        c != 0 if type(c) is int
-        else c.is_constant() or sign_at_map(c, cmap, memo) != 0
-        for c in _dense(q, v)]
-    if not any(coeff_signs):
-        return IDENTICALLY_ZERO
-    if not any(coeff_signs[1:]):
-        return []
+    # the first coefficient of positive degree, from the leading one down,
+    # that is non-zero at the point; if there is none, q at the point is
+    # its constant term
+    coeffs = _dense(q, v)
+    if not any(_nonzero_at(c, cmap, memo) for c in reversed(coeffs[1:])):
+        return [] if _nonzero_at(coeffs[0], cmap, memo) else IDENTICALLY_ZERO
 
     if not algebraic:
         return isolate_coeffs(integer_image(q, (), vi))
 
     candidates = _candidate_defining(q, v, algebraic, memo)
-    roots = []
-    for rho in isolate_coeffs(candidates):
-        full = dict(cmap)
-        full[v] = rho
-        if sign_at_map(p, full, memo) == 0:
-            roots.append(rho)
-    return roots
+    coords = dict(algebraic)
+    return [rho for rho in isolate_coeffs(candidates) if _is_root(q, coords, v, rho, memo)]
+
+
+def _is_root(q, coords, v, rho, memo):
+    """Is rho a root in v of q at the point coords (var -> AlgebraicNumber,
+    q's other variables)?  rho is a root of the candidate polynomial C of q
+    from isolate_coeffs, so its interval holds no other root of C, and
+    neither end is a root of C.
+
+    One interval round over rho's interval may clear 0.  Otherwise q at
+    the point has no root but C's, so its signs at the two ends are not 0
+    and settle by intervals alone; opposite signs put a root of q, so rho,
+    inside.  Equal signs leave a root of even multiplicity possible: the
+    sign at rho decides, with the value's defining polynomial as its zero
+    test (_zero_by_chain)."""
+    boxes = {w: (a.lo_num, a.hi_num, a.den) for w, a in coords.items()}
+    boxes[v] = (rho.lo_num, rho.hi_num, rho.den)
+    lo, hi, _ = _interval_sums(q, boxes)
+    if lo > 0 or hi < 0:
+        return False
+    lo_sign, hi_sign = (
+        _sign_at(q, {**coords, v: AlgebraicNumber.from_rational(Fraction(end, rho.den))},
+                 memo, None)
+        for end in (rho.lo_num, rho.hi_num))
+    if lo_sign != hi_sign:
+        return True
+    return _sign_at(q, {**coords, v: rho}, memo, _zero_by_chain) == 0
 
 
 def _candidate_defining(q, v, algebraic, memo):

@@ -76,6 +76,26 @@ def test_locate_on_section():
     assert cell.truth and cell.is_section
 
 
+def test_three_ec_under_ec_res_builds_and_locates(time_budget):
+    # x*y - z = 0 and x^2 - y = 0 and x + y + z - 1 = 0 (order z, y, x): a
+    # zero test at the top point used to chain over all three coordinates,
+    # a tuple of degree 324, and the build alone ran for minutes
+    from cadec.bench import MODE_POLICY
+
+    order = VarOrder(["z", "y", "x"])
+    policy, ec_mode = MODE_POLICY["ec-res"]
+    f, _, tree = _tree("x*y - z = 0 and x^2 - y = 0 and x + y + z - 1 = 0", policy=policy,
+                       order=order, ec_mode=ec_mode)
+    assert cell_count(tree)["per_level"] == [3, 7, 11]
+    # x^3 + x^2 + x - 1 has one real root, so one point satisfies f
+    assert sum(1 for c in tree.leaves() if c.truth) == 1
+    rng = random.Random(29)
+    for _ in range(60):
+        pt = {v: Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for v in order.names}
+        cell = locate(tree, tuple(pt[v] for v in order.names))
+        assert cell.truth == evaluate_at_rationals(f, pt, order)
+
+
 def test_well_orientedness_error():
     # y*x + y is nullified over y = 0, which the lifting must reject
     with pytest.raises(WellOrientednessError):

@@ -403,12 +403,29 @@ def test_rational_prefix_matches_fraction_route():
     assert sign_at(constant, s.extended(Fraction(-9))) == 1
 
 
+def test_put_in_is_a_positive_multiple_of_the_fraction_substitution():
+    from cadec.realalg import _put_in
+
+    order = VarOrder(["z", "y", "x"])
+    rng = random.Random(53)
+    for _ in range(80):
+        p = _random_poly(order, rng, terms=rng.randint(1, 5), max_deg=4)
+        point = {i: (rng.randint(-9, 9), rng.randint(1, 6))
+                 for i in rng.sample(range(3), rng.randint(1, 2))}
+        got = _put_in(p, point)
+        ref = p.evaluate({order.names[i]: Fraction(n, d) for i, (n, d) in point.items()})
+        assert all(type(c) is int for c in got.terms.values())
+        assert got.terms.keys() == ref.terms.keys()
+        ratios = {c / Fraction(ref.terms[e]) for e, c in got.terms.items()}
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+
+
 # ---------------------------------------------------------------------------
 # defining polynomials of values, and the exits of the sign refinement loop
 
 
 def test_value_defining_matches_reference():
-    from cadec.realalg import _value_defining
+    from cadec.realalg import _t_order, _value_defining
     from oracles import reference_value_defining
 
     rng = random.Random(47)
@@ -436,19 +453,28 @@ def test_value_defining_matches_reference():
         assert got == tuple(c * den for c in ref)
         assert all(type(c) is int for c in got)
         assert len(got) > 1
+    # one order with t appended per base order
+    assert _t_order(VarOrder(names)) is _t_order(VarOrder(names))
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of realalg.<name>."""
+    import cadec.realalg as realalg
+
+    calls = []
+    real = getattr(realalg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(realalg, name, spy)
+    return calls
 
 
 def test_sign_at_two_algebraic_coordinates(monkeypatch, time_budget):
-    import cadec.realalg as realalg
-
-    calls = []  # the defining polynomials sign_at_map asked for
-    real = realalg._value_defining
-
-    def spy(q, alg_coords, memo):
-        calls.append(real(q, alg_coords, memo))
-        return calls[-1]
-
-    monkeypatch.setattr(realalg, "_value_defining", spy)
+    chains = _spy(monkeypatch, "_value_defining")
+    zero_tests = _spy(monkeypatch, "_zero_by_roots")
 
     big = 10 ** 12
     sqrt2 = ((-2, 0, 1), 1)
@@ -458,25 +484,111 @@ def test_sign_at_two_algebraic_coordinates(monkeypatch, time_budget):
     # the near root again, as a root of (x^2 - 2)(big x^2 - 2 big - 1)
     shared = ((4 * big + 2, 0, -(4 * big + 1), 0, big), 3)
     cases = [
-        # the value is -3.5e-13: the interval clears 0 only after the
-        # defining polynomial, whose constant term is not 0
-        ("y - x", (sqrt2, near), -1, True),
-        # the value is 0: the zero case
-        ("x*y - 2", (sqrt2, sqrt2), 0, False),
-        ("x + y", (neg_sqrt2, sqrt2), 0, False),
-        ("y - x", (sqrt2, quartic), 0, False),
-        # 0 is a root of the defining polynomial (at x = sqrt 2) but the value
-        # is 7e-13: the zero case refines until the interval clears 0
-        ("x*y - 2", (sqrt2, shared), 1, False),
+        # the value is -3.5e-13: 4 interval rounds leave it open, and x is
+        # not a root of y - x over y, so the rounds run on until they clear 0
+        ("y - x", (sqrt2, near), -1),
+        # the value is 0: x is a root of q in x over y
+        ("x*y - 2", (sqrt2, sqrt2), 0),
+        ("x + y", (neg_sqrt2, sqrt2), 0),
+        ("y - x", (sqrt2, quartic), 0),
+        # sqrt 2 shares x's defining polynomial and is q's root, but x is
+        # the other root of that polynomial: the value is 7e-13
+        ("x*y - 2", (sqrt2, shared), 1),
     ]
-    for text, coords, sign, constant_nonzero in cases:
-        calls.clear()
+    for text, coords, sign in cases:
+        chains.clear()
+        zero_tests.clear()
         s = SamplePoint(O2, ())
         for coeffs, i in coords:
             s = s.extended(isolate_coeffs(coeffs)[i])
-        assert sign_at(parse_poly(text, O2), s) == sign, text
-        assert len(calls) == 1, text
-        assert (calls[0][0] != 0) == constant_nonzero, text
+        q = parse_poly(text, O2)
+        assert sign_at(q, s) == sign, text
+        # one zero test by x's place among q's roots, and no chain over x
+        assert [(args[0], [v for v, _ in args[1]]) for args in zero_tests] == \
+            [(q, ["y", "x"])], text
+        assert chains == [], text
+
+
+def test_simple_root_is_certified_by_a_sign_change(monkeypatch, time_budget):
+    # z^2 - x*y over x = sqrt 2, y = sqrt 3: two simple roots +-6^(1/4),
+    # each certified by the signs at its interval's ends, with no chain
+    order = VarOrder(["x", "y", "z"])
+    chains = _spy(monkeypatch, "_value_defining")
+    s = SamplePoint(order, (isolate_coeffs((-2, 0, 1))[1], isolate_coeffs((-3, 0, 1))[1]))
+    fourth = (-6, 0, 0, 0, 1)  # t^4 - 6
+    roots = roots_above(parse_poly("z^2 - x*y", order), s, "z")
+    assert [(r.coeffs, compare_rational(r, 0)) for r in roots] == [(fourth, -1), (fourth, 1)]
+    # times z - x - y: the candidate polynomial has roots q does not, and
+    # sqrt 2 + sqrt 3 is a root of t^4 - 10 t^2 + 1
+    expected = roots + isolate_coeffs((1, 0, -10, 0, 1))[3:]
+    roots = roots_above(parse_poly("(z^2 - x*y)*(z - x - y)", order), s, "z")
+    assert len(roots) == 3 and all(compare(r, e) == 0 for r, e in zip(roots, expected))
+    assert chains == []
+
+
+def test_even_multiplicity_root_falls_back_to_the_chain(monkeypatch, time_budget):
+    # the sphere over a point of the circle y^2 + z^2 = 1 (order z, y, x):
+    # x^2 + y^2 + z^2 - 1 is x^2 there, so x = 0 is a double root, the signs
+    # at its interval's ends agree, and the value's chain decides
+    order = VarOrder(["z", "y", "x"])
+    chains = _spy(monkeypatch, "_value_defining")
+    half = isolate_coeffs((-1, 0, 2))  # -+ sqrt(1/2)
+    sphere = parse_poly("x^2 + y^2 + z^2 - 1", order)
+    for z, y in ((half[1], half[0]), (AlgebraicNumber.from_rational(Fraction(1, 2)),
+                                      isolate_coeffs((-3, 0, 4))[1])):
+        chains.clear()
+        roots = roots_above(sphere, SamplePoint(order, (z, y)), "x")
+        assert len(roots) == 1 and roots[0].is_rational and roots[0].rational_value() == 0
+        assert chains
+
+
+def test_sign_at_agrees_with_the_reference_chain_on_the_corpus(time_budget):
+    # every projection polynomial at every algebraic sample point of the
+    # corpus' CADs: the sign is 0 exactly when the value is, by the
+    # reference defining polynomial of the value, and otherwise the value's
+    # interval clears 0 on the sign's side
+    from corpus import load_corpus
+    from oracles import reference_interval_eval, reference_value_defining
+    from cadec.lifting import build_cad
+    from cadec.projection import plan_projection
+
+    checked = {0: 0, 1: 0}
+    for fid, f, _ in load_corpus():
+        order = f.order
+        plan = plan_projection(f, order, "none")
+        tree = build_cad(plan)
+        for level in range(1, len(order) + 1):
+            polys = plan.levels[level - 1].projection_polys
+            for cell in tree.cells_at_level(level):
+                coords = cell.sample.coords
+                if all(a.is_rational for a in coords):
+                    continue
+                fresh = SamplePoint(order, coords)
+                for p in polys:
+                    sign = sign_at(p, fresh)
+                    point = {v: a for v, a in zip(order.names, coords)}
+                    q = p.evaluate({v: a.rational_value() for v, a in point.items()
+                                    if a.is_rational and v in p.variables()})
+                    alg = [(v, a) for v, a in point.items() if v in q.variables()]
+                    if not alg:
+                        assert sign == (q.constant_value() > 0) - (q.constant_value() < 0)
+                        continue
+                    defining = reference_value_defining(q, alg, {})
+                    boxes = {v: (a.lo, a.hi) for v, a in alg}
+                    lo, hi = reference_interval_eval(q, boxes)
+                    if sign:
+                        assert lo > 0 if sign > 0 else hi < 0, (fid, str(p), cell.index)
+                    else:
+                        # 0 is the value's only candidate left in its interval
+                        assert defining[0] == 0, (fid, str(p), cell.index)
+                        while sturm_count_between(defining, lo, hi) > 1:
+                            for _, a in alg:
+                                a.refine()
+                            lo, hi = reference_interval_eval(
+                                q, {v: (a.lo, a.hi) for v, a in alg})
+                        assert lo <= 0 <= hi
+                    checked[sign != 0] += 1
+    assert checked[0] >= 20 and checked[1] >= 100, checked
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +732,18 @@ def test_chain_divides_out_the_vanishing_factor(time_budget):
             for w, image in signed:
                 assert sign_at(w, point) == _sturm_sign(u, image, rho.lo, rho.hi)
     assert checked >= 30
+
+
+def test_roots_over_reducible_defining_polynomial_stay_fast(time_budget):
+    # x = sqrt 2 and y = -sqrt 2, both roots of (t^2 - 2)(t^2 - 3): the
+    # value chain of a candidate root read every coordinate, its own
+    # included, and this call took minutes; x*y*z^3 + y^2*z - 1 is
+    # -2 z^3 + 2 z - 1 there
+    order = VarOrder(["x", "y", "z"])
+    d = isolate_coeffs((6, 0, -5, 0, 1))
+    s = SamplePoint(order, (d[2], d[1]))
+    roots = roots_above(parse_poly("(x - y)*(x*y*z^3 + y^2*z - 1)", order), s, "z")
+    _check_isolation((-1, 2, 0, -2), roots)
 
 
 def test_chain_over_reducible_defining_polynomial(time_budget):
