@@ -23,6 +23,14 @@ first read, so cell_count reads the top level off stack lengths.  decide
 on S2 of the depth-1 family lifts 135 of the 10,997 stacks of its tree;
 cell_count, leaves(), to_json, truth_assign and locate lift what they
 read, so the tree still counts as the full CAD.
+
+A stack is sign-invariant for its lifting polynomials: each one's sign on
+a cell is fixed by where the cell's coordinate sits among that
+polynomial's roots over the base sample.  The root lists realalg keeps
+carry the sign on each gap between the roots (realalg.roots_and_signs), so
+cell_sign reads a lifting polynomial's sign off its list by position and
+evaluates only other polynomials.  A Stack keeps nothing for this beyond a
+reference to its level's tuple of lifting polynomials.
 """
 
 from __future__ import annotations
@@ -38,7 +46,9 @@ from .realalg import (
     compare_rational,
     merge_roots,
     roots_above,
+    roots_and_signs,
     sign_at,
+    sign_by_position,
 )
 
 
@@ -228,15 +238,18 @@ class Stack:
     Its length comes from its r roots.  Its sector samples are computed
     when the stack is lifted, since they refine root intervals the roots
     share with other stacks; reading an item or iterating makes the cells
-    (_build_stack) and drops the pending arguments."""
+    (_build_stack) and drops the pending arguments.  polys is the level's
+    tuple of lifting polynomials, shared by every stack of the level; their
+    signs on the cells are read off their root lists (_stack_sign)."""
 
-    __slots__ = ("_cells", "_pending", "_len")
+    __slots__ = ("_cells", "_pending", "_len", "polys")
 
     def __init__(self, base, roots, contributors, polys_in_order, lifter):
         self._cells = None
         self._pending = (base, roots, contributors, polys_in_order,
                          _sector_samples(roots), lifter)
         self._len = 2 * len(roots) + 1
+        self.polys = polys_in_order
 
     def _made(self):
         cells = self._cells
@@ -318,7 +331,9 @@ def build_cad(plan, cell_cap=1_000_000, eager=True):
     """Lift a projection plan into a CAD tree of R^n.
 
     Signs of lifting polynomials are recorded on section cells where they
-    vanish; other signs are computed on demand (see cell_sign) and memoized.
+    vanish; other signs are found on demand (see cell_sign), a lifting
+    polynomial's read off its root list by the cell's position, and
+    memoized.
     Every sample point of the tree shares the root's memo, so roots_above
     isolates each lifting polynomial once per distinct value of the
     coordinates it reads, and cells over equal values share their roots.
@@ -354,8 +369,11 @@ def cell_sign(cell, poly, order, forms):
 
     Before sign_at runs, the ancestor's signs are searched for poly's
     integer_normalized form, which a section records as 0 for each lifting
-    polynomial vanishing there.  poly is that form times a rational with
-    the sign of poly's leading coefficient, so its sign is the recorded one
+    polynomial vanishing there.  If the form is not recorded but is one of
+    the lifting polynomials of the ancestor's stack, its sign is read by
+    the ancestor's position among the form's roots over the base sample
+    (_stack_sign), with no evaluation.  poly is that form times a rational
+    with the sign of poly's leading coefficient, so its sign is the form's
     times that sign.  forms maps each poly already seen to (its level, its
     form, the sign of its leading coefficient); leaf_truth's callers
     (truth_assign, decide) pass one dict per request, so each is computed
@@ -374,9 +392,26 @@ def cell_sign(cell, poly, order, forms):
     sign = signs.get(poly)
     if sign is None:
         sign = signs.get(canonical)
+        if sign is None:
+            sign = _stack_sign(target, canonical, order)
         sign = sign_at(poly, target.sample) if sign is None else sign * lead
         signs[poly] = sign
     return sign
+
+
+def _stack_sign(cell, poly, order):
+    """poly's sign at cell, read off poly's root list over the base sample,
+    if poly is one of the lifting polynomials of cell's stack; else None.
+    The list is the one the stack was lifted from (the tree's memo keeps
+    it): the sign is 0 at one of its roots, and otherwise that of the gap
+    holding cell's coordinate, a sector's rational or a section's root
+    (compared by identity first)."""
+    base = cell.parent
+    stack = base._stack
+    if type(stack) is not Stack or poly not in stack.polys:
+        return None
+    roots, gaps = roots_and_signs(poly, base.sample, order.names[base.level])
+    return sign_by_position(roots, gaps, cell.coord)
 
 
 def _form(poly, order, forms):

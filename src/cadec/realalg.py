@@ -78,20 +78,35 @@ memo is a dict on SamplePoint that extended() passes on: it lives as long
 as one tree of sample points (a CAD build and its truth assignment), and a
 SamplePoint made anew starts an empty one.
 
-Only one fallback runs a chain over the coordinate it tests.  A root rho
-of C is a root of p above the point (_is_root) when the signs of p at the
-two ends of rho's isolating interval differ: every root of p there is a
-root of C, the interval holds no other root of C, and neither end is one,
-so both signs are non-zero and settle by intervals alone.  One interval
-round over rho's interval first drops most candidates that are not roots.
-Equal signs leave a root of even multiplicity possible (x = 0 on the
-sphere over a point of the circle): only then, if 4 interval rounds at rho
-leave the sign open, does the value's defining polynomial decide
-(_zero_by_chain).  That is the candidate polynomial of
-t - q in a fresh variable t (_value_defining), a chain over every
-coordinate, so its degree is the product of theirs: 324 at the top points
-of x*y - z = 0 and x^2 - y = 0 and x + y + z - 1 = 0, whose CAD has 11
-cells.
+Each root list carries p's sign on each of its gaps: with roots
+r_1 < ... < r_k, the sign (+-1) of p with v in (r_i, r_i+1), r_0 = -inf
+and r_k+1 = +inf (sign_by_position reads it):
+
+- at an all-rational point the list keeps the integer tuple in v, and a
+  gap's sign is taken when it is read: the top gap's is the leading
+  coefficient's, and the gap below a root takes the tuple's sign at the
+  lower end of the root's interval, one integer Horner evaluation.  A
+  caller that reads only the roots (roots_above, so locate) takes none;
+- at an algebraic point they are found with the roots (_isolate_above):
+  q's sign is taken once on each gap between the candidates
+  rho_1 < ... < rho_k, the roots of C, the outer gaps by the sign of the
+  first non-zero leading coefficient (which the coefficient test already
+  evaluates) and the parity of its degree, an inner one at the rational
+  end hi(rho_i), which is not a root of C and so not one of q; those
+  signs settle by intervals alone.  Every root of q there is a
+  root of C, so rho_i is a root of q iff the signs on its two sides
+  differ.  Where they agree, only a root of even multiplicity is possible
+  (x = 0 on the sphere over a point of the circle): only then does the
+  sign at rho_i decide, and if 4 interval rounds leave it open, the
+  value's defining polynomial (_zero_by_chain).  That is the only chain
+  over the coordinate it tests: the candidate polynomial of t - q in a
+  fresh variable t (_value_defining), a chain over every coordinate, so
+  its degree is the product of theirs, 324 at the top points of x*y - z
+  = 0 and x^2 - y = 0 and x + y + z - 1 = 0, whose CAD has 11 cells.
+
+Since a CAD is sign-invariant, a lifting polynomial's sign on a cell of a
+stack is the sign on the gap holding the cell's coordinate, so lifting
+reads it off the list (lifting.cell_sign) instead of evaluating it.
 
 The same memo holds the root lists of roots_above(p, s, v), keyed on p, v
 and the coordinates of p's other variables, read from s.coords at the
@@ -102,9 +117,11 @@ Fraction), an irrational one as the AlgebraicNumber object itself, which
 hashes by identity (the key holds a reference, so its id is not reused).
 roots_above reads nothing else of s, so an equal key means an equal answer:
 a lifting polynomial y1 - y0 is isolated once per distinct y0, not once per
-cell above it.  The zero test of sign_at_map keeps its root lists under the
-same keys (_roots_key).  A roots key's second entry is a variable name and
-a resultant key's a polynomial, so the two kinds never collide.  The roots
+cell above it.  An entry is the roots with their gaps, the signs or the
+integer tuple (roots_and_signs); roots_above hands back the roots alone.
+The zero test of sign_at_map keeps its entries under the same keys
+(_roots_key).  A roots key's second entry is a variable name and a
+resultant key's a polynomial, so the two kinds never collide.  The roots
 handed back are shared, and whoever refines one refines it for all; that
 only shrinks its interval, so at most a sector sample's rational depends on
 it (see above).
@@ -112,12 +129,12 @@ it (see above).
 sign_at_map has one refinement loop.  Each round evaluates p's interval
 over the coordinates' boxes (_interval_sums), returns a sign once the
 interval clears 0, and otherwise bisects every coordinate.  If 4 rounds
-leave the sign open, the root-position test decides whether the value is 0
-(_zero_by_roots).  With alpha_w the top coordinate q reads, the value is 0
-iff q vanishes identically in w over the lower coordinates, or alpha_w is,
-by compare, one of q's roots in w there; those roots are the lists above.
-Otherwise the value is not 0, and the rounds run on until the interval
-clears 0.
+leave the sign open, the root-position test reads it (_zero_by_roots).
+With alpha_w the top coordinate q reads, the value is 0 iff q vanishes
+identically in w over the lower coordinates, or alpha_w is, by compare,
+one of q's roots in w there; those roots are the lists above.  Otherwise
+the sign is that of the list's gap holding alpha_w, and no further round
+runs.
 
 Interval refinement mutates the cached interval but is monotone (intervals
 only shrink), so concurrent readers are safe; the memo only gains entries
@@ -661,8 +678,9 @@ class SamplePoint:
 
     memo maps (d, P, var) to resultant(d, P, var) for the resultant chains
     of sign_at and roots_above, and (p, v, coordinates p reads) to the
-    roots of p in v there, for roots_above and sign_at's zero test; both
-    are exact (module docstring).  A new
+    roots of p in v there with p's sign on each gap between them, for
+    roots_and_signs and sign_at's zero test; both are exact (module
+    docstring).  A new
     SamplePoint starts an empty memo and extended() passes it on, so every
     point lifted from one root shares it.
     """
@@ -871,16 +889,17 @@ def sign_at_map(p, coord_map, memo):
     """Exact sign of p at the point given by coord_map (var -> AlgebraicNumber);
     memo is the memo of the coordinates' SamplePoint.  At an all-rational
     point this is the sign of one integer sum (integer_image); otherwise
-    interval rounds, with the root-position zero test (_zero_by_roots)."""
+    interval rounds, settled by the top coordinate's place among p's roots
+    (_zero_by_roots)."""
     return _sign_at(p, coord_map, memo, _zero_by_roots)
 
 
-def _sign_at(p, coord_map, memo, is_zero):
-    """sign_at_map with the zero test is_zero(q, algebraic, memo), which
-    says whether q is 0 at the algebraic coordinates.  It runs once 4
-    interval rounds leave the sign open; if the value is not 0, the rounds
-    run on until they clear 0.  is_zero is None for a value known not to
-    be 0."""
+def _sign_at(p, coord_map, memo, settle):
+    """sign_at_map with the fallback settle(q, algebraic, memo), which
+    returns q's sign at the algebraic coordinates, or None when it shows
+    only that the sign is not 0.  It runs once 4 interval rounds leave the
+    sign open; after None the rounds run on until they clear 0.  settle is
+    None for a value known not to be 0."""
     point, q, algebraic = _split_point(p, coord_map)
     if q is None:
         value = integer_image(p, point)[0]
@@ -889,8 +908,10 @@ def _sign_at(p, coord_map, memo, is_zero):
         c = q.constant_value()
         return (c > 0) - (c < 0)
     for rounds in count():
-        if rounds == 4 and is_zero is not None and is_zero(q, algebraic, memo):
-            return 0
+        if rounds == 4 and settle is not None:
+            sign = settle(q, algebraic, memo)
+            if sign is not None:
+                return sign
         lo, hi, _ = _interval_sums(
             q, {v: (a.lo_num, a.hi_num, a.den) for v, a in algebraic})
         if lo > 0:
@@ -902,40 +923,44 @@ def _sign_at(p, coord_map, memo, is_zero):
 
 
 def _zero_by_roots(q, algebraic, memo):
-    """Is q 0 at the algebraic coordinates (var, alpha), in the variable
-    order?  With w the top one, it is iff q vanishes identically in w over
-    the lower coordinates, or alpha_w is one of q's roots in w there.  The
-    roots are those of roots_above, under its memo key, so no chain reads
-    alpha_w."""
+    """q's sign at the algebraic coordinates (var, alpha), in the variable
+    order.  With w the top one, it is 0 iff q vanishes identically in w over
+    the lower coordinates, or alpha_w is one of q's roots in w there, and
+    otherwise the sign of q on the gap between those roots that holds
+    alpha_w.  The roots and gap signs are those of roots_and_signs, under its
+    memo key, so no chain reads alpha_w."""
     w, alpha = algebraic[-1]
     lower = algebraic[:-1]
     key = _roots_key(q, w, [a for _, a in lower])
-    roots = memo.get(key)
-    if roots is None:
-        roots = memo[key] = _isolate_above(q, dict(lower), w, memo)
-    return roots is IDENTICALLY_ZERO or any(compare(alpha, r) == 0 for r in roots)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = _isolate_above(q, dict(lower), w, memo)
+    return 0 if entry is IDENTICALLY_ZERO else sign_by_position(*entry, alpha)
 
 
 def _zero_by_chain(q, algebraic, memo):
-    """Is q 0 at the algebraic coordinates?  By the value's defining
-    polynomial (_value_defining), a chain over every coordinate: if its
-    constant term is not 0, the value is not.  Otherwise refine the
-    coordinates, and the polynomial's other roots that overlap the value's
-    interval, until the interval clears 0 or no other root overlaps it."""
+    """q's sign at the algebraic coordinates, or None where it is only
+    shown not to be 0.  By the value's defining polynomial
+    (_value_defining), a chain over every coordinate: if its constant term
+    is not 0, the value is not.  Otherwise refine the coordinates, and the
+    polynomial's other roots that overlap the value's interval, until the
+    interval clears 0 (a sign) or no other root overlaps it (0)."""
     defining = _value_defining(q, algebraic, memo)
     if defining[0] != 0:
-        return False
+        return None
     others = [r for r in isolate_coeffs(defining)
               if not (r.is_rational and r.coeffs[0] == 0)]
     while True:
         lo, hi, scale = _interval_sums(
             q, {v: (a.lo_num, a.hi_num, a.den) for v, a in algebraic})
-        if lo > 0 or hi < 0:
-            return False
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         overlapping = [r for r in others
                        if r.hi_num * scale > lo * r.den and r.lo_num * scale < hi * r.den]
         if not overlapping:
-            return True
+            return 0
         for r in overlapping:
             r.refine()
         for _, a in algebraic:
@@ -963,6 +988,19 @@ def roots_above(p, s, v):
     recur in the same tree (see the module docstring); callers must not
     mutate the list.
     """
+    entry = roots_and_signs(p, s, v)
+    return entry if entry is IDENTICALLY_ZERO else entry[0]
+
+
+def roots_and_signs(p, s, v):
+    """roots_above(p, s, v) with p's signs on the gaps between its roots:
+    (roots, gaps), or IDENTICALLY_ZERO.  gaps is a list, gaps[i] the sign
+    (+-1) of p at the sample point with v between roots[i - 1] and
+    roots[i]; or, at an all-rational point, the integer tuple of p in v,
+    whose signs are taken as they are read (the module docstring).
+    sign_by_position reads either.
+    It reads and fills the same memo entry as roots_above, which hands back
+    its roots alone."""
     if p.is_zero():
         return IDENTICALLY_ZERO
     order = p.order
@@ -974,11 +1012,38 @@ def roots_above(p, s, v):
     except IndexError:
         raise RealAlgebraError("sample point does not cover the variables of %s" % p) from None
     key = _roots_key(p, v, values)
-    roots = s.memo.get(key)
-    if roots is None:
+    entry = s.memo.get(key)
+    if entry is None:
         cmap = {order.names[i]: a for i, a in zip(read, values)}
-        roots = s.memo[key] = _isolate_above(p, cmap, v, s.memo)
-    return roots
+        entry = s.memo[key] = _isolate_above(p, cmap, v, s.memo)
+    return entry
+
+
+def sign_by_position(roots, gaps, x):
+    """The sign at x (an AlgebraicNumber, or a rational as an int or a
+    Fraction) of the polynomial in one variable whose roots and gaps are
+    roots and gaps (roots_and_signs): 0 at a root, otherwise the sign of
+    the gap holding x."""
+    cmp = compare if isinstance(x, AlgebraicNumber) else compare_rational
+    i = 0
+    for r in roots:
+        c = cmp(r, x)
+        if c == 0:
+            return 0
+        if c > 0:
+            break
+        i += 1
+    if type(gaps) is list:
+        return gaps[i]
+    # the integer tuple of an all-rational point: the top gap takes its
+    # leading coefficient's sign, the gap below a root its sign at the lower
+    # end of the root's interval.  That end lies in the gap however far the
+    # root has been refined: isolate_coeffs's intervals are sorted and
+    # disjoint, each holds one root of the tuple, and they only shrink.
+    if i == len(roots):
+        return 1 if gaps[-1] > 0 else -1
+    r = roots[i]
+    return usign(gaps, r.lo_num, r.den)
 
 
 def _roots_key(p, v, values):
@@ -988,67 +1053,64 @@ def _roots_key(p, v, values):
     return (p, v, tuple([a.coeffs if len(a.coeffs) == 2 else a for a in values]))
 
 
-def _nonzero_at(c, cmap, memo):
-    """Is c, a coefficient from _dense, non-zero at the point cmap?"""
+def _coeff_sign(c, cmap, memo):
+    """The sign of c, a coefficient from _dense, at the point cmap."""
     if type(c) is int:
-        return c != 0
-    return c.is_constant() or sign_at_map(c, cmap, memo) != 0
+        return (c > 0) - (c < 0)
+    if c.is_constant():
+        c = c.constant_value()
+        return (c > 0) - (c < 0)
+    return sign_at_map(c, cmap, memo)
 
 
 def _isolate_above(p, cmap, v, memo):
-    """roots_above(p, s, v) computed afresh; cmap maps p's variables other
-    than v to s's coordinates, memo is s.memo."""
+    """roots_and_signs(p, s, v) computed afresh; cmap maps p's variables
+    other than v to s's coordinates, memo is s.memo."""
     vi = p.order.index(v)
     point, q, algebraic = _split_point(p, cmap, vi)
-    if q is None:
+    if not algebraic:
         # an all-rational prefix: the integer tuple in v straight from p's
-        # terms, a positive multiple of the Fraction specialisation
-        univ = trim(integer_image(p, point, vi))
+        # terms (q's, where putting in the rational coordinates left no
+        # algebraic one), a positive multiple of the Fraction specialisation
+        univ = trim(integer_image(p, point, vi) if q is None else integer_image(q, (), vi))
         if not univ:
             return IDENTICALLY_ZERO
-        if len(univ) == 1:
-            return []
-        return isolate_coeffs(univ)
+        # the gap signs are taken when read (sign_by_position), so that
+        # roots_above, which reads none, pays nothing for them
+        return (isolate_coeffs(univ) if len(univ) > 1 else []), univ
 
     # the first coefficient of positive degree, from the leading one down,
     # that is non-zero at the point; if there is none, q at the point is
     # its constant term
     coeffs = _dense(q, v)
-    if not any(_nonzero_at(c, cmap, memo) for c in reversed(coeffs[1:])):
-        return [] if _nonzero_at(coeffs[0], cmap, memo) else IDENTICALLY_ZERO
+    for degree in range(len(coeffs) - 1, 0, -1):
+        lead = _coeff_sign(coeffs[degree], cmap, memo)
+        if lead:
+            break
+    else:
+        sign = _coeff_sign(coeffs[0], cmap, memo)
+        return ([], [sign]) if sign else IDENTICALLY_ZERO
 
-    if not algebraic:
-        return isolate_coeffs(integer_image(q, (), vi))
-
-    candidates = _candidate_defining(q, v, algebraic, memo)
+    # q's sign on each gap between the candidates: the outer ones by the
+    # leading sign and the degree, an inner one at the upper end of the
+    # candidate below it, which is not a root of the candidate polynomial
+    # and so not one of q
+    candidates = isolate_coeffs(_candidate_defining(q, v, algebraic, memo))
     coords = dict(algebraic)
-    return [rho for rho in isolate_coeffs(candidates) if _is_root(q, coords, v, rho, memo)]
-
-
-def _is_root(q, coords, v, rho, memo):
-    """Is rho a root in v of q at the point coords (var -> AlgebraicNumber,
-    q's other variables)?  rho is a root of the candidate polynomial C of q
-    from isolate_coeffs, so its interval holds no other root of C, and
-    neither end is a root of C.
-
-    One interval round over rho's interval may clear 0.  Otherwise q at
-    the point has no root but C's, so its signs at the two ends are not 0
-    and settle by intervals alone; opposite signs put a root of q, so rho,
-    inside.  Equal signs leave a root of even multiplicity possible: the
-    sign at rho decides, with the value's defining polynomial as its zero
-    test (_zero_by_chain)."""
-    boxes = {w: (a.lo_num, a.hi_num, a.den) for w, a in coords.items()}
-    boxes[v] = (rho.lo_num, rho.hi_num, rho.den)
-    lo, hi, _ = _interval_sums(q, boxes)
-    if lo > 0 or hi < 0:
-        return False
-    lo_sign, hi_sign = (
-        _sign_at(q, {**coords, v: AlgebraicNumber.from_rational(Fraction(end, rho.den))},
-                 memo, None)
-        for end in (rho.lo_num, rho.hi_num))
-    if lo_sign != hi_sign:
-        return True
-    return _sign_at(q, {**coords, v: rho}, memo, _zero_by_chain) == 0
+    signs = [-lead if degree % 2 else lead]
+    for rho in candidates[:-1]:
+        end = AlgebraicNumber.from_rational(Fraction(rho.hi_num, rho.den))
+        signs.append(_sign_at(q, {**coords, v: end}, memo, None))
+    signs.append(lead)
+    # every root of q is a candidate, so a candidate where the sign changes
+    # is a root; where it does not, only a root of even multiplicity is
+    # possible, and the sign at it decides
+    roots, gaps = [], [signs[0]]
+    for rho, below, above in zip(candidates, signs, signs[1:]):
+        if below != above or _sign_at(q, {**coords, v: rho}, memo, _zero_by_chain) == 0:
+            roots.append(rho)
+            gaps.append(above)
+    return roots, gaps
 
 
 def _candidate_defining(q, v, algebraic, memo):

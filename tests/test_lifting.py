@@ -15,6 +15,8 @@ from cadec.projection import CapExceededError
 
 O2 = VarOrder(["y", "x"])
 
+pytestmark = pytest.mark.usefixtures("time_budget")
+
 
 def _tree(text, policy="none", order=O2, ec_mode="groebner"):
     f = parse_formula(text, order)
@@ -223,8 +225,10 @@ def test_cell_sign_reads_recorded_canonical_zero(monkeypatch):
 
 
 def test_cell_sign_at_sectors_matches_rational_evaluation(monkeypatch):
-    # at a sector nothing is recorded: each canonical form calls sign_at, and
-    # its multiples read the sign stored under it
+    # at a sector nothing is recorded: a lifting polynomial's sign is read
+    # off its root list with no sign_at call, an atom that is not lifted
+    # calls sign_at once per canonical form, and multiples of either read
+    # the sign stored under it
     import cadec.lifting as lifting
     f = parse_formula("x - y = 0 and x^2 + y^2 - 1 < 0", O2)
     tree = build_cad(plan_projection(f, O2, "none"))
@@ -237,7 +241,7 @@ def test_cell_sign_at_sectors_matches_rational_evaluation(monkeypatch):
 
     monkeypatch.setattr(lifting, "sign_at", counting)
     texts = ("x - y", "-x + y", "2*x - 2*y", "-(1/3)*x + (1/3)*y", "x^2 + y^2 - 1",
-             "-x^2 - y^2 + 1")
+             "-x^2 - y^2 + 1", "x + y", "-3*x - 3*y")
     atoms = [parse_poly(t, O2) for t in texts]
     forms = {}
     sectors = [c for c in tree.leaves() if not c.is_section()
@@ -253,7 +257,9 @@ def test_cell_sign_at_sectors_matches_rational_evaluation(monkeypatch):
                 if evaluate_at_rationals(parse_formula("%s %s 0" % (text, rel), O2), point, O2):
                     expected = sign
             assert cell_sign(cell, atom, O2, forms) == expected, (text, point)
-        assert calls[before:] == [atoms[0], atoms[4]]
+        lifted = set(tree.provenance[2])
+        assert {atoms[0], atoms[4]} <= lifted and atoms[6] not in lifted
+        assert calls[before:] == [atoms[6]]
 
 
 def _signs_and_truths(tree):
@@ -394,3 +400,66 @@ def test_sector_samples_match_fraction_reference(monkeypatch, mode):
     for _, f, _ in load_corpus():
         build_cad(plan_projection(f, f.order, policy, ec_mode=ec_mode))
     assert len(stacks) > 100 and max(stacks) >= 4
+
+
+# ---------------------------------------------------------------------------
+# signs read off the root lists of a stack's lifting polynomials
+
+
+def _check_stack_signs(tree):
+    """Each lifting polynomial's sign at each ancestor of a top cell, as
+    _stack_sign reads it off the polynomial's root list over the base
+    sample, equals sign_at there.  Returns the counts read, by sign."""
+    from cadec.lifting import _stack_sign
+    from cadec.realalg import sign_at
+
+    read, seen = {-1: 0, 0: 0, 1: 0}, set()
+    for cell in tree.leaves():
+        while cell.level and id(cell) not in seen:
+            seen.add(id(cell))
+            for p in tree.provenance[cell.level]:
+                sign = _stack_sign(cell, p, tree.order)
+                if sign is not None:
+                    assert sign == sign_at(p, cell.sample), (str(p), cell.index)
+                    read[sign] += 1
+            cell = cell.parent
+    return read
+
+
+@pytest.mark.parametrize("mode", ["si", "ec-res"])
+def test_stack_signs_match_sign_at_on_the_corpus(mode):
+    from cadec.bench import MODE_POLICY
+    from corpus import load_corpus
+
+    policy, ec_mode = MODE_POLICY[mode]
+    read = {-1: 0, 0: 0, 1: 0}
+    for _, f, _ in load_corpus():
+        tree = build_cad(plan_projection(f, f.order, policy, ec_mode=ec_mode))
+        for sign, n in _check_stack_signs(tree).items():
+            read[sign] += n
+    assert min(read.values()) > 100
+
+
+@pytest.mark.parametrize("policy", ["none", "auto"])
+@pytest.mark.parametrize("text", [
+    # x = y is a double root over y = +-sqrt 2
+    "(x - y)^2*(x + 1) > 0 and y^2 - 2 = 0",
+    # x = +-sqrt 2 are double roots over every rational y
+    "(x^2 - 2)^2*(x - y) > 0 or y^3 - 3 = 0",
+    # a triple root and the double roots +-sqrt y
+    "(x - y)^3*(x^2 - y)^2 < 0 and y^2 - 3 != 0",
+    "(x^2 + y^2 - 1)^2 > 0 or (x - y)^2 = 0",
+])
+def test_stack_signs_at_roots_of_higher_multiplicity(text, policy):
+    # a root of even multiplicity leaves the sign unchanged across it, one
+    # of odd multiplicity flips it; truth equals that of sign_at alone
+    from oracles import reference_truth_assign
+
+    f = parse_formula(text, O2)
+    plan = plan_projection(f, O2, policy)
+    tree = build_cad(plan)
+    truth_assign(tree, f)
+    read = _check_stack_signs(tree)
+    assert read[1] and read[-1]
+    reference = reference_truth_assign(build_cad(plan), f)
+    assert [c.truth for c in tree.leaves()] == [c.truth for c in reference.leaves()]

@@ -14,6 +14,8 @@ from oracles import _eval as value_at, sturm_count_all, sturm_count_between
 O1 = VarOrder(["x"])
 O2 = VarOrder(["y", "x"])
 
+pytestmark = pytest.mark.usefixtures("time_budget")
+
 
 def test_isolation_matches_sturm_random():
     rng = random.Random(5)
@@ -485,7 +487,7 @@ def test_sign_at_two_algebraic_coordinates(monkeypatch, time_budget):
     shared = ((4 * big + 2, 0, -(4 * big + 1), 0, big), 3)
     cases = [
         # the value is -3.5e-13: 4 interval rounds leave it open, and x is
-        # not a root of y - x over y, so the rounds run on until they clear 0
+        # not a root of y - x over y: the sign is that of the gap holding x
         ("y - x", (sqrt2, near), -1),
         # the value is 0: x is a root of q in x over y
         ("x*y - 2", (sqrt2, sqrt2), 0),
@@ -511,7 +513,8 @@ def test_sign_at_two_algebraic_coordinates(monkeypatch, time_budget):
 
 def test_simple_root_is_certified_by_a_sign_change(monkeypatch, time_budget):
     # z^2 - x*y over x = sqrt 2, y = sqrt 3: two simple roots +-6^(1/4),
-    # each certified by the signs at its interval's ends, with no chain
+    # each certified by differing signs on the gaps either side of it, with
+    # no chain
     order = VarOrder(["x", "y", "z"])
     chains = _spy(monkeypatch, "_value_defining")
     s = SamplePoint(order, (isolate_coeffs((-2, 0, 1))[1], isolate_coeffs((-3, 0, 1))[1]))
@@ -526,10 +529,54 @@ def test_simple_root_is_certified_by_a_sign_change(monkeypatch, time_budget):
     assert chains == []
 
 
+def test_candidates_take_one_sign_per_inner_gap(monkeypatch):
+    # (z^2 - x*y)*(z - x - y) over x = sqrt 2, y = sqrt 3: q's sign is taken
+    # once on each gap between two candidates, at a rational between them;
+    # only a candidate with the same sign on both sides (no root of q here)
+    # takes a sign at itself
+    from cadec.realalg import _candidate_defining
+
+    order = VarOrder(["x", "y", "z"])
+    x, y = isolate_coeffs((-2, 0, 1))[1], isolate_coeffs((-3, 0, 1))[1]
+    q = parse_poly("(z^2 - x*y)*(z - x - y)", order)
+    candidates = isolate_coeffs(_candidate_defining(q, "z", [("x", x), ("y", y)], {}))
+    signs = _spy(monkeypatch, "_sign_at")
+    roots = roots_above(q, SamplePoint(order, (x, y)), "z")
+    assert len(roots) == 3 and len(candidates) > 4
+    at = [args[1]["z"] for args in signs if "z" in args[1]]
+    ends = [a for a in at if a.is_rational]
+    assert len(ends) == len(candidates) - 1
+    for end, below, above in zip(ends, candidates, candidates[1:]):
+        assert compare(below, end) < 0 < compare(above, end)
+    assert len(at) - len(ends) == len(candidates) - len(roots)
+
+
+def test_gap_signs_at_a_rational_point_hold_as_roots_are_refined():
+    # (x^2 - 2)^2 (x - 1)^3 (2x + 1) (x - y) at y = 3: roots -sqrt 2, -1/2,
+    # 1, sqrt 2 and 3, of multiplicities 2, 1, 3, 2 and 1.  A gap's sign is
+    # taken when it is read, at the lower end of the root above it, so it
+    # must not depend on how far that root has been refined
+    from cadec.realalg import roots_and_signs, sign_by_position
+
+    p = parse_poly("(x^2 - 2)^2*(x - 1)^3*(2*x + 1)*(x - y)", O2)
+    s = SamplePoint(O2, (AlgebraicNumber.from_rational(3),))
+    roots, gaps = roots_and_signs(p, s, "x")
+    assert roots_above(p, s, "x") is roots and len(roots) == 5
+    for refinements in (0, 1, 40):
+        for r in roots:
+            for _ in range(refinements):
+                r.refine()
+        for n in range(-40, 41):
+            x = Fraction(n, 8)
+            value = p.evaluate({"y": Fraction(3), "x": x}).constant_value()
+            assert sign_by_position(roots, gaps, x) == (value > 0) - (value < 0), x
+        assert [sign_by_position(roots, gaps, r) for r in roots] == [0] * 5
+
+
 def test_even_multiplicity_root_falls_back_to_the_chain(monkeypatch, time_budget):
     # the sphere over a point of the circle y^2 + z^2 = 1 (order z, y, x):
     # x^2 + y^2 + z^2 - 1 is x^2 there, so x = 0 is a double root, the signs
-    # at its interval's ends agree, and the value's chain decides
+    # on the gaps either side of it agree, and the value's chain decides
     order = VarOrder(["z", "y", "x"])
     chains = _spy(monkeypatch, "_value_defining")
     half = isolate_coeffs((-1, 0, 2))  # -+ sqrt(1/2)
