@@ -12,9 +12,6 @@ from .formula import And, Atom, Formula, Not, Or, flatten_conjuncts
 from .projection import CapExceededError, plan_projection
 from .lifting import WellOrientednessError, build_cad, cell_count, truth_assign
 
-DEFAULT_CELL_CAP = 1_000_000
-DEFAULT_PROJECTION_CAP = 10_000
-
 DH_FORMS = ("nested", "prenex", "negated", "cnf_L", "product_L")
 
 
@@ -225,8 +222,7 @@ def formula_stats(f):
     return max(m, 1), max(d, 1)
 
 
-def run_one(fid, f, mode, cell_cap=DEFAULT_CELL_CAP,
-            projection_cap=DEFAULT_PROJECTION_CAP):
+def run_one(fid, f, mode):
     """One experiment row; failures are reported in status, never raised.
 
     mode is a long name (MODES) or its short name (MODE_POLICY); the row
@@ -242,13 +238,12 @@ def run_one(fid, f, mode, cell_cap=DEFAULT_CELL_CAP,
     policy, ec_mode = MODE_POLICY[_MODE_SHORT[mode]]
     start = time.perf_counter()
     try:
-        plan = plan_projection(f, order, policy, ec_mode=ec_mode,
-                               projection_cap=projection_cap)
+        plan = plan_projection(f, order, policy, ec_mode=ec_mode)
         report.ell = plan.ell
         level1 = plan.level(1).projection_polys
         report.M_obs = len(level1)
         report.D_obs = max((p.degree_in(order.names[0]) for p in level1), default=0)
-        tree = build_cad(plan, cell_cap=cell_cap)
+        tree = build_cad(plan)
         truth_assign(tree, f)
         report.observed = cell_count(tree)
         report.within_eq1 = (plan.ell == 0
@@ -262,8 +257,7 @@ def run_one(fid, f, mode, cell_cap=DEFAULT_CELL_CAP,
     return report
 
 
-def run_experiment(corpus, modes=MODES, cell_cap=DEFAULT_CELL_CAP,
-                   projection_cap=DEFAULT_PROJECTION_CAP):
+def run_experiment(corpus, modes=MODES):
     """Run every corpus formula under every mode.
 
     corpus: iterable of (id, Formula); returns a list of BoundReport in
@@ -271,7 +265,7 @@ def run_experiment(corpus, modes=MODES, cell_cap=DEFAULT_CELL_CAP,
     reports = []
     for fid, f in corpus:
         for mode in modes:
-            reports.append(run_one(fid, f, mode, cell_cap, projection_cap))
+            reports.append(run_one(fid, f, mode))
     return reports
 
 

@@ -387,7 +387,9 @@ def decide(f, ec_policy="auto", ec_mode="groebner"):
     true one under exists, a false one under forall).  Cells the fold does
     not reach keep truth None, and a cell's sample point is built only when
     a sign there or its stack needs it.  A nullification the fold never
-    reaches is not seen, so decide can answer where build_cad refuses.
+    reaches is not seen, so decide can answer where a full read of the
+    same tree (truth_assign, cell_count) refuses.  Every cell the fold
+    makes counts against lifting.CELL_CAP, as in any other read.
     """
     from .projection import plan_projection
     from .lifting import build_cad, leaf_truth
@@ -405,7 +407,7 @@ def decide(f, ec_policy="auto", ec_mode="groebner"):
 
     matrix_formula = Formula(f.matrix, f.order)
     plan = plan_projection(matrix_formula, f.order, ec_policy, ec_mode=ec_mode)
-    tree = build_cad(plan, eager=False)
+    tree = build_cad(plan)
     forms = {}
     return _fold_truth(tree.root, f.prefix,
                        lambda cell: leaf_truth(cell, f.matrix, tree.order, forms))

@@ -30,7 +30,12 @@ class PrimitivityError(PolynomialError):
 
 
 class CapExceededError(Exception):
-    """A configured size cap (cells or projection polynomials) was hit."""
+    """A size cap was hit: lifting.CELL_CAP cells in a CAD tree, or
+    PROJECTION_CAP polynomials in a projection set."""
+
+
+# The most polynomials one level's projection set may hold.
+PROJECTION_CAP = 10_000
 
 
 def _split(ps, v, order):
@@ -229,13 +234,14 @@ class ProjectionPlan:
         return json.dumps(data, indent=2)
 
 
-def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
-                    projection_cap=10_000):
+def plan_projection(f, order, ec_policy="auto", ec_mode="groebner"):
     """Build the per-level projection plan for a formula's polynomials.
 
     ec_policy: 'none' for a pure sign-invariant plan; 'auto' to designate
     syntactically identified ECs and propagate them downward; or an explicit
     list of polynomials to designate (imprimitive entries are a hard error).
+    A projection set of more than PROJECTION_CAP polynomials raises
+    CapExceededError.
     """
     inputs = {integer_normalized(p) for p in f.polynomials()
               if not p.is_zero() and not p.is_constant()}
@@ -302,10 +308,10 @@ def plan_projection(f, order, ec_policy="auto", ec_mode="groebner",
             lifting = set(mains)
             out = mccallum_project(mains | lower, v) if k > 1 and (mains or lower) \
                 else set()
-        if len(out) > projection_cap:
+        if len(out) > PROJECTION_CAP:
             raise CapExceededError(
                 "projection set at level %d has %d polynomials (cap %d)"
-                % (k - 1, len(out), projection_cap))
+                % (k - 1, len(out), PROJECTION_CAP))
         levels[k - 1] = PlanLevel(k, v, mains, lifting, ec, fallback)
         current = out
 

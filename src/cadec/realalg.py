@@ -687,14 +687,14 @@ class SamplePoint:
 
     __slots__ = ("order", "coords", "memo")
 
-    def __init__(self, order, coords, memo=None):
+    def __init__(self, order, coords):
         self.order = order
         self.coords = tuple(
             c if isinstance(c, AlgebraicNumber) else AlgebraicNumber.from_rational(c)
             for c in coords)
         if len(self.coords) > len(order):
             raise RealAlgebraError("more coordinates than variables")
-        self.memo = {} if memo is None else memo
+        self.memo = {}
 
     @property
     def level(self):
@@ -896,10 +896,9 @@ def sign_at_map(p, coord_map, memo):
 
 def _sign_at(p, coord_map, memo, settle):
     """sign_at_map with the fallback settle(q, algebraic, memo), which
-    returns q's sign at the algebraic coordinates, or None when it shows
-    only that the sign is not 0.  It runs once 4 interval rounds leave the
-    sign open; after None the rounds run on until they clear 0.  settle is
-    None for a value known not to be 0."""
+    returns q's sign at the algebraic coordinates.  It runs once 4 interval
+    rounds leave the sign open.  settle is None for a value known not to
+    be 0, whose rounds run on until they clear 0."""
     point, q, algebraic = _split_point(p, coord_map)
     if q is None:
         value = integer_image(p, point)[0]
@@ -909,9 +908,7 @@ def _sign_at(p, coord_map, memo, settle):
         return (c > 0) - (c < 0)
     for rounds in count():
         if rounds == 4 and settle is not None:
-            sign = settle(q, algebraic, memo)
-            if sign is not None:
-                return sign
+            return settle(q, algebraic, memo)
         lo, hi, _ = _interval_sums(
             q, {v: (a.lo_num, a.hi_num, a.den) for v, a in algebraic})
         if lo > 0:
@@ -939,15 +936,14 @@ def _zero_by_roots(q, algebraic, memo):
 
 
 def _zero_by_chain(q, algebraic, memo):
-    """q's sign at the algebraic coordinates, or None where it is only
-    shown not to be 0.  By the value's defining polynomial
-    (_value_defining), a chain over every coordinate: if its constant term
-    is not 0, the value is not.  Otherwise refine the coordinates, and the
-    polynomial's other roots that overlap the value's interval, until the
-    interval clears 0 (a sign) or no other root overlaps it (0)."""
+    """q's sign at the algebraic coordinates, by the value's defining
+    polynomial (_value_defining), a chain over every coordinate: refine the
+    coordinates, and the polynomial's other roots that overlap the value's
+    interval, until the interval clears 0 (a sign) or no other root
+    overlaps it (0).  0 is always a root: the one caller passes a candidate
+    root of q in the top coordinate, which is a root of q over some choice
+    of roots of the lower coordinates' defining polynomials."""
     defining = _value_defining(q, algebraic, memo)
-    if defining[0] != 0:
-        return None
     others = [r for r in isolate_coeffs(defining)
               if not (r.is_rational and r.coeffs[0] == 0)]
     while True:

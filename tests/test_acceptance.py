@@ -275,3 +275,12 @@ def test_criterion_9_primitivity_gate():
     _report(9, "product-form equalities with a factor free of the main "
             "variable flagged imprimitive; designation hard-errors; auto "
             "mode falls back", ok and elapsed < 10, elapsed)
+
+
+def test_criterion_10_depth2_instance_decided(time_budget):
+    start = time.perf_counter()
+    # the paper's 8-variable instance: x0 = y0^16 implies the depth-2
+    # member (S2), decided by a partial CAD under the default cell cap
+    ok = decide(dh_equivalence_sentences(2)[1]) is True
+    elapsed = time.perf_counter() - start
+    _report(10, "depth-2 S2 (8 variables) decided true", ok, elapsed)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cadec.polynomial import Polynomial, VarOrder, parse_poly
-from cadec.formula import Formula, decide, evaluate_at_rationals, parse_formula
+from cadec.formula import Atom, Formula, Or, decide, evaluate_at_rationals, parse_formula
 from cadec.bench import (
     bound_eq1, dh_equivalence_sentences, dh_order, dh_target, ec_bound_note,
     formula_stats, generate_dh, l_block, primitivity_report, run_experiment,
@@ -109,13 +109,15 @@ def test_run_experiment_and_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_run_experiment_failure_rows():
+def test_run_experiment_failure_rows(monkeypatch):
+    from cadec import lifting
     o = VarOrder(["y", "x"])
     corpus = [("nullified", parse_formula("y*x + y = 0", o))]
     reports = run_experiment(corpus, modes=("si",))
     assert reports[0].status == "well-orientedness-error"
     corpusb = [("capped", parse_formula("x^2 + y^2 - 1 = 0", o))]
-    reports = run_experiment(corpusb, modes=("si",), cell_cap=3)
+    monkeypatch.setattr(lifting, "CELL_CAP", 3)
+    reports = run_experiment(corpusb, modes=("si",))
     assert reports[0].status == "cap-exceeded"
 
 
@@ -170,6 +172,22 @@ def test_dh_equivalence_sentences_closed():
     assert s1.prefix[0] == ("forall", "x0")
     assert s1.prefix[2:] == (("forall", "z1"), ("exists", "x1"), ("exists", "y1"))
     assert s2.prefix[2:] == (("exists", "z1"), ("forall", "x1"), ("forall", "y1"))
+
+
+def _s2_with_target(depth, target):
+    """S2 of dh_equivalence_sentences(depth) with the equation target = 0 in
+    place of the one the instance defines."""
+    s2 = dh_equivalence_sentences(depth)[1]
+    return Formula(Or([Atom(parse_poly(target, s2.order), "!=")]
+                      + list(s2.matrix.children[1:])), s2.order, s2.prefix)
+
+
+@pytest.mark.parametrize("depth, target", [(1, "x0 - y0^2"), (2, "x0 - y0^8")])
+def test_decide_false_member_of_the_family(time_budget, depth, target):
+    # the depth-k instance defines x0 = y0^(2^(2^k)), which x0 = y0^2 (depth
+    # 1) and x0 = y0^8 (depth 2) do not imply: y0 = 2 is a counterexample.
+    # A fold that swapped exists and forall would read both true.
+    assert decide(_s2_with_target(depth, target)) is False
 
 
 def test_run_one_accepts_short_mode_names():

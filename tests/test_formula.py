@@ -198,7 +198,7 @@ def test_decide_answers_above_an_unreached_nullification():
     f = parse_formula("forall x. forall y. x^2 + 1 > 0 or y*x + y = 0", order)
     assert decide(f) is True
     with pytest.raises(WellOrientednessError):
-        lifting.build_cad(plan_projection(f, order, "auto"))
+        lifting.cell_count(lifting.build_cad(plan_projection(f, order, "auto")))
 
 
 @pytest.mark.parametrize("mode", sorted(MODE_POLICY))

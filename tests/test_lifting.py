@@ -104,11 +104,13 @@ def test_well_orientedness_error():
         _tree("y*x + y = 0", policy="none")
 
 
-def test_cell_cap():
+def test_cell_cap(monkeypatch):
+    from cadec import lifting
+    monkeypatch.setattr(lifting, "CELL_CAP", 4)
     f = parse_formula("x^2 + y^2 - 1 = 0", O2)
     plan = plan_projection(f, O2, "none")
     with pytest.raises(CapExceededError):
-        build_cad(plan, cell_cap=4)
+        cell_count(build_cad(plan))
 
 
 def test_json_dump():
@@ -398,7 +400,7 @@ def test_sector_samples_match_fraction_reference(monkeypatch, mode):
     monkeypatch.setattr(lifting, "_sector_samples", checked)
     policy, ec_mode = MODE_POLICY[mode]
     for _, f, _ in load_corpus():
-        build_cad(plan_projection(f, f.order, policy, ec_mode=ec_mode))
+        cell_count(build_cad(plan_projection(f, f.order, policy, ec_mode=ec_mode)))
     assert len(stacks) > 100 and max(stacks) >= 4
 
 

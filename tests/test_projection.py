@@ -120,10 +120,12 @@ def test_plan_auto_imprimitive_fallback():
     assert plan.level(2).fallback
 
 
-def test_projection_cap():
+def test_projection_cap(monkeypatch):
+    from cadec import projection
+    monkeypatch.setattr(projection, "PROJECTION_CAP", 1)
     f = parse_formula("x^2 + y^2 - 1 = 0 and x - y = 0", O2)
     with pytest.raises(CapExceededError):
-        plan_projection(f, O2, "auto", projection_cap=1)
+        plan_projection(f, O2, "auto")
 
 
 def test_plan_json_roundtrippable():
